@@ -161,36 +161,39 @@ class Ramp:
 
 
 class FirBuffer:
-    """Ring buffer over the most recent samples for causal FIR dot products."""
+    """Ring buffer over the most recent samples for causal FIR dot products.
+
+    Each sample is written twice, ``size`` apart, in a buffer of twice the
+    length, moving backwards; the newest ``size`` samples then always sit
+    newest first in one contiguous window.
+    """
 
     def __init__(self, size):
         if size < 1:
             raise ValueError("buffer size must be >= 1")
         self.size = size
-        self._buf = np.zeros(size)
-        self._pos = size - 1
+        self._buf = np.zeros(2 * size)
+        self._pos = 0
 
     def push(self, value):
-        self._pos = (self._pos + 1) % self.size
-        self._buf[self._pos] = value
+        self._pos = (self._pos - 1) % self.size
+        self._buf[self._pos] = self._buf[self._pos + self.size] = value
 
     def dot(self, taps):
         """sum_j taps[j]*sample[k-j], missing history counted as zero."""
         if len(taps) != self.size:
             raise ValueError("taps length must match buffer size")
-        p = self._pos
-        head = self._buf[p::-1]
-        tail = self._buf[: p : -1]
-        return float(taps[: p + 1] @ head + taps[p + 1 :] @ tail)
+        return float(taps @ self._buf[self._pos : self._pos + self.size])
 
 
 class WaveComponents:
-    """Forward and backward wave sample histories for one vehicle."""
+    """Latest forward (``a``) and backward (``b``) wave samples of one
+    vehicle; None before the first step."""
 
     def __init__(self, index=0):
         self.index = index
-        self.a_hist = []
-        self.b_hist = []
+        self.a = None
+        self.b = None
 
 
 def squared_fir(fir):
@@ -211,8 +214,9 @@ def squared_fir(fir):
 class AbsorberState:
     """Online state for one wave-absorbing end vehicle.
 
-    Histories grow one sample per step; ring buffers carry the windows the
-    FIR products need. Positions are deviations from the starting pose.
+    Ring buffers carry the windows the FIR products need, so memory stays
+    bounded over any run length. Positions are deviations from the starting
+    pose.
     """
 
     def __init__(self, fir, ramp, fir_squared=None, index=0):
@@ -220,7 +224,6 @@ class AbsorberState:
         self.fir_squared = fir_squared
         self.ramp = ramp
         self.own_wave = WaveComponents(index)
-        self.neighbor_hist = []
         self.last_t = None
         m = len(fir.taps)
         self._neighbor_buf = FirBuffer(m)
@@ -274,15 +277,14 @@ def absorber_front_step(state, x1_sample, t):
     if state.fir_squared is None:
         raise InvalidConfig("head absorber requires the squared FIR")
     _advance_time(state, t)
-    state.neighbor_hist.append(x1_sample)
     state._neighbor_buf.push(x1_sample)
     incoming = state._neighbor_buf.dot(state.fir.taps)
     echo = state._a_buf.dot(state._echo_taps)
     b = incoming - echo
     command = state.ramp(t) + b
     a = command - b
-    state.own_wave.a_hist.append(a)
-    state.own_wave.b_hist.append(b)
+    state.own_wave.a = a
+    state.own_wave.b = b
     state._a_buf.push(a)
     return command
 
@@ -295,13 +297,12 @@ def absorber_rear_step(state, x_prev_sample, t):
     propagated one vehicle down and stacked on the tail reference ramp.
     """
     _advance_time(state, t)
-    state.neighbor_hist.append(x_prev_sample)
     outgoing = state.ramp(t)
     state._b_buf.push(outgoing)
     echo = state._b_buf.dot(state.fir.taps)
     a_prev = x_prev_sample - echo
-    state.own_wave.a_hist.append(a_prev)
-    state.own_wave.b_hist.append(echo)
+    state.own_wave.a = a_prev
+    state.own_wave.b = echo
     state._a_buf.push(a_prev)
     return outgoing + state._a_buf.dot(state.fir.taps)
 

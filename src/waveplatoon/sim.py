@@ -5,11 +5,25 @@ Vehicles are double integrators with linear friction driven by PI
 controllers on spacing errors. The two end vehicles either track external
 position commands (ramps or wave-absorber outputs) or regulate spacing to
 a reference. The linear plant is advanced by classical fourth-order
-Runge-Kutta, folded into exact per-tick transition matrices so that an
-equilibrium is a fixed point to machine precision.
+Runge-Kutta, folded into exact transition matrices so that an equilibrium
+is a fixed point to machine precision.
+
+One control tick is a single augmented matrix, composed once from the RK4
+maps over the tick's plant steps. It acts on the plant states together
+with the head ramp value and slope, the tail spacing reference, and the
+held and fresh absorber commands. Every end input is affine in time within
+a tick (a ramp, or a linear slew from the held to the fresh command), so
+the RK4 samples of the inputs are exact and the matrix carries the ramp
+forward itself. Distance noise enters through one precomputed block per
+tick. With absorbers a run does one matrix-vector product per tick; without
+them nothing changes between output samples and reference events, so the
+run jumps between those with precomputed powers of the tick map, while a
+stacked product still checks every tick's velocities against
+``VELOCITY_LIMIT``.
 """
 
 import functools
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -168,7 +182,7 @@ def _rk4_maps(a, h):
 
 
 class PlatoonDynamics:
-    """Per-tick linear transition maps for one platoon layout.
+    """Transition maps for one platoon layout.
 
     The layout fixes which end vehicles track position commands: the head
     always does; the tail does when ``rear_commanded``, otherwise it
@@ -177,7 +191,23 @@ class PlatoonDynamics:
     velocity is the controller output rather than a separate state; the
     unused velocity slot stays zero and the true velocity is computed on
     demand.
+
+    ``trans`` and the ``*_zoh`` vectors advance the 3m plant states one
+    step of ``dt`` under held inputs. ``tick_map`` advances one control
+    tick (``config.substeps`` steps) of the augmented state
+    ``z = [s, u, du, d, front held, front fresh, rear held, rear fresh]``:
+    the head input is the ramp ``u + du*tau`` plus the slew from the held
+    to the fresh head command, and the tail input is the spacing reference
+    ``d`` plus the slew of the tail commands. (The slew turns absorber
+    outputs into piecewise-linear setpoints, which keeps the end servo's
+    velocity free of sampling ripple.) Every input is affine in the
+    time ``tau`` into the tick, so the RK4 start, middle and end samples
+    are exact. The map moves ``u`` along its slope and hands each fresh
+    command over to the held slot. ``tick_noise`` adds one tick's distance
+    noise draws to ``z``.
     """
+
+    AUX = 7  # augmented slots after the plant states
 
     def __init__(self, config, rear_commanded, dt=None):
         self.config = config
@@ -226,22 +256,50 @@ class PlatoonDynamics:
 
         self.a = a
         trans, w_start, w_mid, w_end = _rk4_maps(a, self.dt)
+        w_zoh = w_start + w_mid + w_end
         self.trans = trans
-        self.front_w = (w_start @ b_front, w_mid @ b_front, w_end @ b_front)
-        self.rear_w = (w_start @ b_rear, w_mid @ b_rear, w_end @ b_rear)
-        self.front_zoh = sum(self.front_w)
-        self.rear_zoh = sum(self.rear_w)
-        self.noise_zoh = (w_start + w_mid + w_end) @ b_noise
+        self.front_zoh = w_zoh @ b_front
+        self.rear_zoh = w_zoh @ b_rear
+        self.noise_zoh = w_zoh @ b_noise
+
+        self.n_states = n
+        self.dim = n + self.AUX
+        (self.ramp, self.ramp_slope, self.spacing, self.front_held,
+         self.front_fresh, self.rear_held, self.rear_fresh) = range(n, self.dim)
+        n_sub = config.substeps
+        h = self.dt
+        # RK4 input weights of the start, middle and end samples of a step
+        samples = [
+            (w @ b_front, w @ b_rear, tau)
+            for w, tau in ((w_start, 0.0), (w_mid, 0.5), (w_end, 1.0))
+        ]
+        tick = np.eye(self.dim)
+        tick_noise = np.zeros((self.dim, m - 1))
+        for j in range(n_sub):
+            sub = np.eye(self.dim)
+            sub[:n, :n] = trans
+            sub[self.ramp, self.ramp_slope] = h
+            for front, rear, tau in samples:
+                # share of the fresh command at this sample of the slew
+                frac = (j + tau) / n_sub
+                sub[:n, self.ramp] += front
+                sub[:n, self.ramp_slope] += tau * h * front
+                sub[:n, self.front_held] += (1.0 - frac) * front
+                sub[:n, self.front_fresh] += frac * front
+                sub[:n, self.spacing] += rear
+                sub[:n, self.rear_held] += (1.0 - frac) * rear
+                sub[:n, self.rear_fresh] += frac * rear
+            tick = sub @ tick
+            tick_noise = sub @ tick_noise
+            tick_noise[:n] += self.noise_zoh
+        tick[self.front_held] = tick[self.front_fresh]
+        tick[self.rear_held] = tick[self.rear_fresh]
+        self.tick_map = tick
+        self.tick_noise = tick_noise
 
     def step_vec(self, s, front, rear, noise=None):
-        """One tick; ``front`` and ``rear`` are (start, mid, end) samples."""
-        out = self.trans @ s
-        for w, u in zip(self.front_w, front):
-            if u != 0.0:
-                out += w * u
-        for w, u in zip(self.rear_w, rear):
-            if u != 0.0:
-                out += w * u
+        """One plant step of ``dt`` with ``front`` and ``rear`` held."""
+        out = self.trans @ s + self.front_zoh * front + self.rear_zoh * rear
         if noise is not None:
             out += self.noise_zoh @ noise
         return out
@@ -298,9 +356,7 @@ def step(states, config, end_commands, noise_draws, dt):
         noise = np.asarray(noise_draws, dtype=float)
         if noise.shape != (config.n_vehicles - 1,):
             raise InvalidConfig("need one noise draw per follower vehicle")
-    s = dyn.step_vec(
-        _states_to_vec(states), (front,) * 3, (rear_input,) * 3, noise
-    )
+    s = dyn.step_vec(_states_to_vec(states), front, rear_input, noise)
     _check_finite(s)
     out = _vec_to_states(s)
     v = dyn.velocities(s, front, rear_input)
@@ -354,21 +410,105 @@ class _ReferenceTracker:
         self.rear_ramp = self.rear_ramp.continued(gains.wr, t)
 
 
+# the jump maps hold stride * dim**2 floats of powers and, with noise, about
+# (stride * m)**2 more for the per-tick guard; the stride is capped so that
+# neither exceeds this many floats (32 MB)
+JUMP_MAP_FLOATS = 1 << 22
+
+
+class _JumpMaps:
+    """Advance the augmented state ``z`` by 1..``stride`` control ticks at
+    once while every tick's velocities pass the divergence guard.
+
+    Holds ``M**j`` for the tick map ``M``, the noise block of ``stride``
+    ticks (``[M**(stride-1) N, ..., N]``, whose last ``j`` blocks serve a
+    ``j``-tick jump), and the velocity rows of ``M**1 .. M**(stride-1)``
+    and of their noise blocks, stacked so that one extra product gives the
+    velocities of the ticks a jump passes over.
+    """
+
+    def __init__(self, dyn, stride, noisy):
+        self.m = m = dyn.config.n_vehicles
+        self.vel_rows = vel_rows = slice(1, dyn.n_states, 3)
+        tick = dyn.tick_map
+        self.powers = [None, tick]
+        for _ in range(stride - 1):
+            self.powers.append(tick @ self.powers[-1])
+        passed = self.powers[1:stride]
+        self.vel = np.vstack([p[vel_rows] for p in passed]) if passed else None
+        self.noise = self.vel_noise = None
+        if noisy:
+            # blocks[d] = M**d N: one tick's draws, d ticks after that tick
+            blocks = [dyn.tick_noise] + [p @ dyn.tick_noise for p in passed]
+            self.noise = np.hstack(blocks[::-1])
+            # velocities after tick i see draw l < i through blocks[i-1-l]
+            k = m - 1
+            self.vel_noise = np.zeros(((stride - 1) * m, (stride - 1) * k))
+            for i in range(1, stride):
+                for l in range(i):
+                    self.vel_noise[(i - 1) * m : i * m, l * k : (l + 1) * k] = (
+                        blocks[i - 1 - l][vel_rows]
+                    )
+
+    def advance(self, z, j, noise):
+        """``z`` after ``j`` ticks; ``noise`` holds one row of draws per tick."""
+        out = self.powers[j] @ z
+        if noise is not None:
+            draws = noise.ravel()
+            out += self.noise[:, -draws.size :] @ draws
+        ok = np.isfinite(out).all() and (
+            np.abs(out[self.vel_rows]) <= VELOCITY_LIMIT
+        ).all()
+        if ok and j > 1:
+            rows = (j - 1) * self.m
+            passed = self.vel[:rows] @ z
+            if noise is not None:
+                cols = (j - 1) * (self.m - 1)
+                passed += self.vel_noise[:rows, :cols] @ draws[:cols]
+            ok = (np.abs(passed) <= VELOCITY_LIMIT).all()
+        if not ok:
+            raise NonFiniteState("simulation diverged")
+        return out
+
+
+def _jump_stride(out_every, dim, m, noisy):
+    stride = min(out_every, JUMP_MAP_FLOATS // (dim * dim))
+    if noisy:
+        stride = min(stride, math.isqrt(JUMP_MAP_FLOATS) // m)
+    return max(stride, 1)
+
+
+def _event_tick(time, ctrl_dt):
+    """First control tick k with ``time <= k*ctrl_dt + 1e-12``."""
+    k = max(int(time / ctrl_dt) - 1, 0)
+    while time > k * ctrl_dt + 1e-12:
+        k += 1
+    return k
+
+
 def run_scenario(config, scenario, fir=None):
     """Simulate one scenario and return the sampled trace.
 
     The plant advances at ``config.dt``; absorbers and noise update at the
-    control rate ``config.fs_ctrl``; end commands are held between control
-    ticks. The trace is sampled every ``scenario.out_every`` control ticks.
+    control rate ``config.fs_ctrl``; end commands slew linearly from the
+    held to the fresh value over each control tick. The trace is sampled
+    every ``scenario.out_every`` control ticks.
+
+    Each control tick is one product with the augmented tick map. With an
+    absorber the loop visits every tick; without one nothing changes
+    between output samples and event ticks, so the loop jumps between them
+    with precomputed powers of the map.
     """
     m = config.n_vehicles
     variant = scenario.variant
     dyn = PlatoonDynamics(config, rear_commanded=variant in ("rear", "two_sided"))
-    s = _states_to_vec(build_platoon(config))
-    x_first0 = s[0]
-    x_follower0 = s[3]
-    x_prev0 = s[3 * (m - 2)]
-    x_last0 = s[3 * (m - 1)]
+    n = dyn.n_states
+    z = np.zeros(dyn.dim)
+    z[:n] = _states_to_vec(build_platoon(config))
+    x_first0 = z[0]
+    x_follower0 = z[3]
+    x_prev0 = z[3 * (m - 2)]
+    x_last0 = z[3 * (m - 1)]
 
     front_abs = rear_abs = None
     if variant in ("front", "rear", "two_sided"):
@@ -381,8 +521,13 @@ def run_scenario(config, scenario, fir=None):
     refs = _ReferenceTracker(config, variant)
     if variant in ("front", "two_sided"):
         front_abs = make_front_absorber(fir, refs.front_ramp)
+        # the command that drove the plant into the current sample; a
+        # commanded end's instantaneous velocity is its controller output
+        # under the held command, not under the one about to be applied
+        z[dyn.front_held] = x_first0
     if variant in ("rear", "two_sided"):
         rear_abs = make_rear_absorber(fir, refs.rear_ramp, index=m - 2)
+        z[dyn.rear_held] = x_last0
 
     rng = None
     sigma2 = 0.0
@@ -390,11 +535,15 @@ def run_scenario(config, scenario, fir=None):
         sigma2 = scenario.noise.variance
         rng = np.random.default_rng(scenario.noise.seed)
 
-    n_sub = config.substeps
-    h = config.dt
+    out_every = scenario.out_every
+    stride = 1
+    if front_abs is None and rear_abs is None:
+        stride = _jump_stride(out_every, dyn.dim, m, rng is not None)
+    jumps = _JumpMaps(dyn, stride, rng is not None)
+
     ctrl_dt = 1.0 / config.fs_ctrl
     n_ctrl = int(round(scenario.duration * config.fs_ctrl))
-    n_out = n_ctrl // scenario.out_every + 1
+    n_out = n_ctrl // out_every + 1
     t_out = np.empty(n_out)
     x_out = np.empty((n_out, m))
     v_out = np.empty((n_out, m))
@@ -402,16 +551,12 @@ def run_scenario(config, scenario, fir=None):
     row = 0
 
     events = list(scenario.events)
+    event_ticks = [_event_tick(e.time, ctrl_dt) for e in events]
     next_event = 0
-    # commands that drove the plant into the current sample; a commanded
-    # end's instantaneous velocity is its controller output under the held
-    # command, not under the one about to be applied
-    held_front = x_first0
-    held_rear = x_last0
-
-    for k in range(n_ctrl + 1):
+    k = 0
+    while True:
         t = k * ctrl_dt
-        while next_event < len(events) and events[next_event].time <= t + 1e-12:
+        while next_event < len(events) and event_ticks[next_event] <= k:
             refs.apply(events[next_event], t)
             if front_abs is not None:
                 front_abs.ramp = refs.front_ramp
@@ -419,76 +564,47 @@ def run_scenario(config, scenario, fir=None):
                 rear_abs.ramp = refs.rear_ramp
             next_event += 1
 
+        boundary = min(n_ctrl, k + stride, (k // out_every + 1) * out_every)
+        if next_event < len(events):
+            boundary = min(boundary, event_ticks[next_event])
         noise = None
         if rng is not None:
-            noise = inject_noise(rng, sigma2, m - 1)
+            noise = inject_noise(rng, sigma2, (max(boundary - k, 1), m - 1))
 
         if front_abs is not None:
-            front_cmd = x_first0 + absorber_front_step(
-                front_abs, s[3] - x_follower0, t
+            front_val = x_first0 + absorber_front_step(
+                front_abs, z[3] - x_follower0, t
             )
+            z[dyn.front_fresh] = front_val
+            v_front = z[dyn.front_held]
         else:
-            front_cmd = None  # analytic ramp, sampled per stage below
+            front_val = x_first0 + refs.front_ramp(t)
+            z[dyn.ramp] = front_val
+            z[dyn.ramp_slope] = refs.front_ramp.slope
+            v_front = front_val
         if rear_abs is not None:
-            measured = s[3 * (m - 2)] - x_prev0
+            measured = z[3 * (m - 2)] - x_prev0
             if noise is not None:
-                measured += noise[m - 2]
+                measured += noise[0, m - 2]
             rear_cmd = x_last0 + absorber_rear_step(rear_abs, measured, t)
+            z[dyn.rear_fresh] = rear_cmd
+            v_rear = z[dyn.rear_held]
         else:
-            rear_cmd = None
+            z[dyn.spacing] = refs.d_target
+            v_rear = 0.0
 
-        front_val = front_cmd if front_cmd is not None else (
-            x_first0 + refs.front_ramp(t)
-        )
-        rear_val = rear_cmd if rear_cmd is not None else 0.0
-        v_front = held_front if front_abs is not None else front_val
-        v_rear = held_rear if rear_abs is not None else rear_val
-        if k % scenario.out_every == 0:
+        if k % out_every == 0:
             t_out[row] = t
-            x_out[row] = s[0::3]
-            v_out[row] = dyn.velocities(s, v_front, v_rear)
+            x_out[row] = z[0:n:3]
+            v_out[row] = dyn.velocities(z[:n], v_front, v_rear)
             c_out[row, 0] = front_val
-            if rear_cmd is not None:
+            if rear_abs is not None:
                 c_out[row, 1] = rear_cmd
             row += 1
         if k == n_ctrl:
             break
-
-        # absorber outputs become piecewise-linear setpoints: each control
-        # interval slews from the previously held command to the fresh one,
-        # keeping the end servo's velocity free of sampling ripple
-        def interp(a, b, tau):
-            return a + (b - a) * (tau / ctrl_dt)
-
-        for j in range(n_sub):
-            t0 = t + j * h
-            if front_cmd is None:
-                fr = refs.front_ramp
-                front = (
-                    x_first0 + fr(t0),
-                    x_first0 + fr(t0 + h / 2),
-                    x_first0 + fr(t0 + h),
-                )
-            else:
-                tau = j * h
-                front = (
-                    interp(held_front, front_cmd, tau),
-                    interp(held_front, front_cmd, tau + h / 2),
-                    interp(held_front, front_cmd, tau + h),
-                )
-            if rear_cmd is not None:
-                tau = j * h
-                rear = (
-                    interp(held_rear, rear_cmd, tau),
-                    interp(held_rear, rear_cmd, tau + h / 2),
-                    interp(held_rear, rear_cmd, tau + h),
-                )
-            else:
-                rear = (refs.d_target,) * 3
-            s = dyn.step_vec(s, front, rear, noise)
-        _check_finite(s)
-        held_front = front_val
-        held_rear = rear_val
+        z = jumps.advance(z, boundary - k, noise)
+        k = boundary
 
     return SimulationTrace(
         t=t_out[:row],

@@ -1,12 +1,11 @@
 """Scaling studies: run the same maneuver across platoon sizes and end
 strategies, collect metrics, and fit growth exponents.
 
-Cells run in a thread pool; each owns its simulation state, and rows are
-sorted before aggregation so worker scheduling cannot change the output.
+Cells run one after another, each with its own simulation state; the
+result lists them by variant name, then size.
 """
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import WavePlatoonError
@@ -74,7 +73,6 @@ def sweep(
     fs_ctrl=100.0,
     durations=None,
     out_every=10,
-    max_workers=4,
 ):
     """Run the acceleration maneuver over every (size, variant) pair and fit
     each variant's log-log growth of velocity MSE with size."""
@@ -103,10 +101,10 @@ def sweep(
         except (WavePlatoonError, FloatingPointError) as exc:
             return SweepCell(n, variant, duration, error=f"{type(exc).__name__}: {exc}")
 
-    jobs = [(n, v) for v in variants for n in n_list]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        cells = list(pool.map(lambda job: run_cell(*job), jobs))
-    cells.sort(key=lambda c: (c.variant, c.n_vehicles))
+    cells = sorted(
+        (run_cell(n, v) for v in variants for n in n_list),
+        key=lambda c: (c.variant, c.n_vehicles),
+    )
 
     slopes = {}
     for variant in variants:

@@ -162,9 +162,9 @@ def test_squared_fir_tail_guard():
 def test_front_absorber_quiet(nominal_fir):
     state = make_front_absorber(nominal_fir, Ramp(0.0))
     assert absorber_front_step(state, 0.0, 0.0) == 0.0
+    assert (state.own_wave.a, state.own_wave.b) == (0.0, 0.0)
     assert absorber_front_step(state, 0.0, 0.01) == 0.0
-    assert state.own_wave.a_hist == [0.0, 0.0]
-    assert state.own_wave.b_hist == [0.0, 0.0]
+    assert (state.own_wave.a, state.own_wave.b) == (0.0, 0.0)
 
 
 def test_front_absorber_initial_slope(nominal_fir):
@@ -184,9 +184,7 @@ def test_front_absorber_consistency(nominal_fir):
     dt = 1.0 / nominal_fir.fs
     for k in range(60):
         cmd = absorber_front_step(state, rng.normal(scale=0.01), k * dt)
-        assert cmd == pytest.approx(
-            state.own_wave.a_hist[-1] + state.own_wave.b_hist[-1]
-        )
+        assert cmd == pytest.approx(state.own_wave.a + state.own_wave.b)
 
 
 def test_rear_absorber_quiet(nominal_fir):
@@ -202,9 +200,7 @@ def test_rear_absorber_components_sum_to_neighbor(nominal_fir):
     for k in range(60):
         x_prev = rng.normal(scale=0.01)
         absorber_rear_step(state, x_prev, k * dt)
-        assert state.own_wave.a_hist[-1] + state.own_wave.b_hist[-1] == pytest.approx(
-            x_prev
-        )
+        assert state.own_wave.a + state.own_wave.b == pytest.approx(x_prev)
 
 
 def test_absorber_time_guards(nominal_fir):

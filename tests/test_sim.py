@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+
+from waveplatoon import sim
 
 from waveplatoon.errors import InvalidConfig, NonFiniteState
 from waveplatoon.lti import freq_response
@@ -176,6 +179,81 @@ def test_out_every_keeps_dynamics():
     thin = run_scenario(cfg, spec(10))
     assert np.allclose(full.positions[::10], thin.positions)
     assert np.allclose(full.t[::10], thin.t)
+
+
+def _assert_decimation_exact(config, spec, k):
+    """``out_every=k`` must equal ``out_every=1`` sampled every k-th tick."""
+    full = run_scenario(config, spec(1))
+    thin = run_scenario(config, spec(k))
+    assert np.array_equal(thin.t, full.t[::k])
+    for field in ("positions", "velocities", "commands"):
+        want = getattr(full, field)[::k]
+        got = getattr(thin, field)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        scale = np.nanmax(np.abs(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-9 * scale, field
+
+
+def test_decimated_fold_matches_per_tick_sampling():
+    # no absorber: the run jumps over the ticks between outputs and events;
+    # events sit off the output grid and each tick spans two plant steps
+    cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
+    spec = lambda k: ScenarioSpec(
+        duration=30.0,
+        events=((0.37, "set_v_ref", 1.0), (11.13, "set_d_ref", 1.4),
+                (17.0, "set_v_ref", 0.4)),
+        noise=NoiseSpec(variance=0.05, seed=12),
+        variant="none",
+        out_every=k,
+    )
+    _assert_decimation_exact(cfg, spec, 9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    k=st.integers(1, 25),
+    seed=st.integers(0, 2**31 - 1),
+    event_tick=st.integers(0, 400),
+)
+def test_decimated_fold_property(n, k, seed, event_tick):
+    cfg = PlatoonConfig(n_vehicles=n)
+    spec = lambda every: ScenarioSpec(
+        duration=4.0,
+        events=((event_tick / 100.0, "set_v_ref", 1.0),),
+        noise=NoiseSpec(variance=0.1, seed=seed),
+        out_every=every,
+    )
+    _assert_decimation_exact(cfg, spec, k)
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec(variance=0.2, seed=4)])
+def test_guard_sees_ticks_between_samples(monkeypatch, noise):
+    # the guard passes a limit just above the peak follower speed over all
+    # ticks and trips on one between that peak and the peak at the sampled
+    # ticks: only a guard that evaluates every tick exactly does both
+    cfg = PlatoonConfig(n_vehicles=5)
+    spec = lambda k: ScenarioSpec(
+        duration=20.0, events=((0.0, "set_v_ref", 1.0),), noise=noise,
+        out_every=k,
+    )
+    speeds = np.abs(run_scenario(cfg, spec(1)).velocities[:, 1:]).max(axis=1)
+    peak, sampled = speeds.max(), speeds[::50].max()
+    assert peak > sampled
+    monkeypatch.setattr(sim, "VELOCITY_LIMIT", peak * (1.0 + 1e-9))
+    run_scenario(cfg, spec(50))
+    monkeypatch.setattr(sim, "VELOCITY_LIMIT", 0.5 * (peak + sampled))
+    with pytest.raises(NonFiniteState):
+        run_scenario(cfg, spec(50))
+
+
+def test_unstable_gains_raise_when_decimated():
+    cfg = PlatoonConfig(n_vehicles=3, ki=-50.0)
+    spec = ScenarioSpec(
+        duration=30.0, events=((0.5, "set_v_ref", 1.0),), out_every=50
+    )
+    with pytest.raises(NonFiniteState):
+        run_scenario(cfg, spec)
 
 
 def test_dt_refinement_converges():
