@@ -22,7 +22,6 @@ from .wave import (  # noqa: F401
     WaveApprox,
     WaveFIR,
     coupling_from_gains,
-    fir_convolve,
     friction_plant,
     make_coupling,
     peak_wave_gain,

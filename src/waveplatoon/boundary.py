@@ -155,35 +155,61 @@ class Ramp:
     def __call__(self, t):
         return self.offset + self.slope * max(0.0, t - self.start)
 
+    def sample(self, times):
+        """The ramp at each of an array of ``times``."""
+        return self.offset + self.slope * np.maximum(0.0, times - self.start)
+
     def continued(self, slope, at):
         """New ramp with a different slope, continuous at time ``at``."""
         return Ramp(slope, at, self(at))
 
 
 class FirBuffer:
-    """Ring buffer over the most recent samples for causal FIR dot products.
+    """Bounded history of the most recent samples for causal FIR products.
 
-    Each sample is written twice, ``size`` apart, in a buffer of twice the
-    length, moving backwards; the newest ``size`` samples then always sit
-    newest first in one contiguous window.
+    Samples are appended oldest first. The buffer starts with ``size``
+    zeros (missing history counts as zero) and, when it fills, moves its
+    newest ``size - 1`` samples to the front, so any window over the newest
+    samples is one contiguous slice and memory stays bounded.
     """
 
     def __init__(self, size):
         if size < 1:
             raise ValueError("buffer size must be >= 1")
         self.size = size
-        self._buf = np.zeros(2 * size)
-        self._pos = 0
+        self._buf = np.zeros(4 * size)
+        self._end = size
+
+    def extend(self, values):
+        """Append samples, oldest first."""
+        count = len(values)
+        if self._end + count > len(self._buf):
+            keep = self.size - 1
+            newest = self._buf[self._end - keep : self._end].copy()
+            if keep + count > len(self._buf):
+                self._buf = np.zeros(2 * (keep + count))
+            self._buf[:keep] = newest
+            self._end = keep
+        self._buf[self._end : self._end + count] = values
+        self._end += count
 
     def push(self, value):
-        self._pos = (self._pos - 1) % self.size
-        self._buf[self._pos] = self._buf[self._pos + self.size] = value
+        self.extend((value,))
+
+    def window(self, count):
+        """The newest ``size - 1 + count`` samples, oldest first: the FIR
+        products at the last ``count`` samples are
+        ``np.correlate(window, taps[::-1], "valid")``."""
+        start = self._end - self.size + 1 - count
+        if start < 0:
+            raise ValueError("window reaches past the kept history")
+        return self._buf[start : self._end]
 
     def dot(self, taps):
         """sum_j taps[j]*sample[k-j], missing history counted as zero."""
         if len(taps) != self.size:
             raise ValueError("taps length must match buffer size")
-        return float(taps @ self._buf[self._pos : self._pos + self.size])
+        return float(taps @ self.window(1)[::-1])
 
 
 class WaveComponents:
@@ -214,9 +240,12 @@ def squared_fir(fir):
 class AbsorberState:
     """Online state for one wave-absorbing end vehicle.
 
-    Ring buffers carry the windows the FIR products need, so memory stays
-    bounded over any run length. Positions are deviations from the starting
-    pose.
+    Both absorbers keep two bounded histories: the samples they measure,
+    filtered by the wave FIR into the incoming wave, and the ramp values
+    they send out, filtered into the echo of their own outgoing wave. The
+    head filters its echo by the squared FIR with the current tap zeroed,
+    so it sees its own wave only up to the previous sample; the tail by
+    the wave FIR. Positions are deviations from the starting pose.
     """
 
     def __init__(self, fir, ramp, fir_squared=None, index=0):
@@ -226,14 +255,14 @@ class AbsorberState:
         self.own_wave = WaveComponents(index)
         self.last_t = None
         m = len(fir.taps)
-        self._neighbor_buf = FirBuffer(m)
-        self._a_buf = FirBuffer(m)
-        self._b_buf = FirBuffer(m)
+        self._samples = FirBuffer(m)
+        self._sent = FirBuffer(m)
+        echo_taps = fir.taps
         if fir_squared is not None:
-            # shift one tap: the echo convolution sees own-wave history
-            # only through the previous sample
-            self._echo_taps = np.concatenate([fir_squared.taps[1:], [0.0]])
-            self._a_buf = FirBuffer(len(self._echo_taps))
+            echo_taps = np.concatenate([[0.0], fir_squared.taps[1:]])
+        # reversed once, so each block's FIR products are one correlation
+        self._taps_rev = fir.taps[::-1].copy()
+        self._echo_rev = echo_taps[::-1].copy()
 
     @property
     def ramp_slope(self):
@@ -256,7 +285,9 @@ def make_rear_absorber(fir, ramp, index=0):
     return AbsorberState(fir, ramp, index=index)
 
 
-def _advance_time(state, t):
+def _advance_time(state, t, count):
+    """Times of ``count`` ticks at the FIR rate from ``t``, which must
+    follow the last tick taken by one sample interval."""
     if state.last_t is not None:
         if t <= state.last_t:
             raise NonMonotonicTime(f"step at t={t} after t={state.last_t}")
@@ -264,7 +295,77 @@ def _advance_time(state, t):
             raise SampleRateMismatch(
                 f"step interval {t - state.last_t} does not match fs={state.fir.fs}"
             )
-    state.last_t = t
+    times = t + np.arange(count) / state.fir.fs
+    state.last_t = float(times[-1])
+    return times
+
+
+def _sent_block(state, t, count):
+    """Ramp values the absorber sends over the block, and their echo."""
+    sent = state.ramp.sample(_advance_time(state, t, count))
+    state._sent.extend(sent)
+    echo = np.correlate(state._sent.window(count), state._echo_rev, "valid")
+    return sent, echo
+
+
+def _lookback(state, count):
+    """Wave-FIR products over the block counting only the samples taken
+    before it; the block's own samples enter through ``T``."""
+    past = np.concatenate([state._samples.window(0), np.zeros(count)])
+    return np.correlate(past, state._taps_rev, "valid")
+
+
+# Both absorbers are linear in the samples they measure. Over a block of
+# ``count`` ticks from ``t``, ``*_block`` returns the known part of the
+# commands and the offset added to each measured sample: with the block's
+# samples ``y = measured + offset``, the commands are ``known + T @ y``,
+# where ``T`` is the lower-triangular Toeplitz matrix of the wave FIR.
+# ``absorber_commit`` then records the block's samples and commands. The
+# per-tick steps are the one-tick case.
+
+
+def absorber_front_block(state, t, count):
+    """Known commands and sample offsets of the head absorber.
+
+    The head sends the reference ramp as its outgoing wave ``a``; its
+    command is the ramp plus the incoming wave (the filtered first-follower
+    samples) minus the echo of its own past ramp.
+    """
+    if state.fir_squared is None:
+        raise InvalidConfig("head absorber requires the squared FIR")
+    sent, echo = _sent_block(state, t, count)
+    state.own_wave.a = sent[-1]
+    return sent - echo + _lookback(state, count), np.zeros(count)
+
+
+def absorber_rear_block(state, t, count):
+    """Known commands and sample offsets of the tail absorber.
+
+    The tail sends the reference ramp; its sample is the neighbour's
+    position less the echo of that ramp, and its command is the ramp plus
+    that sample propagated one vehicle down.
+    """
+    sent, echo = _sent_block(state, t, count)
+    state.own_wave.b = echo[-1]
+    return sent + _lookback(state, count), -echo
+
+
+def absorber_commit(state, samples, commands):
+    """Record a block's samples (measured plus offset) and the commands
+    they produced; the last of each sets the wave components."""
+    state._samples.extend(samples)
+    if state.fir_squared is None:
+        state.own_wave.a = samples[-1]
+    else:
+        state.own_wave.b = commands[-1] - state.own_wave.a
+
+
+def _absorber_step(block, state, measured, t):
+    known, offset = block(state, t, 1)
+    sample = measured + offset[0]
+    command = known[0] + state.fir.taps[0] * sample
+    absorber_commit(state, (sample,), (command,))
+    return command
 
 
 def absorber_front_step(state, x1_sample, t):
@@ -274,19 +375,7 @@ def absorber_front_step(state, x1_sample, t):
     echo of the absorber's own past output wave is subtracted, and the
     command adds the reference ramp back on top.
     """
-    if state.fir_squared is None:
-        raise InvalidConfig("head absorber requires the squared FIR")
-    _advance_time(state, t)
-    state._neighbor_buf.push(x1_sample)
-    incoming = state._neighbor_buf.dot(state.fir.taps)
-    echo = state._a_buf.dot(state._echo_taps)
-    b = incoming - echo
-    command = state.ramp(t) + b
-    a = command - b
-    state.own_wave.a = a
-    state.own_wave.b = b
-    state._a_buf.push(a)
-    return command
+    return _absorber_step(absorber_front_block, state, x1_sample, t)
 
 
 def absorber_rear_step(state, x_prev_sample, t):
@@ -296,15 +385,7 @@ def absorber_rear_step(state, x_prev_sample, t):
     filtered history of the tail's own outgoing wave (the ramp), then
     propagated one vehicle down and stacked on the tail reference ramp.
     """
-    _advance_time(state, t)
-    outgoing = state.ramp(t)
-    state._b_buf.push(outgoing)
-    echo = state._b_buf.dot(state.fir.taps)
-    a_prev = x_prev_sample - echo
-    state.own_wave.a = a_prev
-    state.own_wave.b = echo
-    state._a_buf.push(a_prev)
-    return outgoing + state._a_buf.dot(state.fir.taps)
+    return _absorber_step(absorber_rear_block, state, x_prev_sample, t)
 
 
 CHAIN_VARIANTS = ("none", "front", "rear", "two_sided")

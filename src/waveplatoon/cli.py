@@ -42,7 +42,6 @@ DEFAULTS = {
     "variant": "none",
     "duration": 100.0,
     "v_ref": 1.0,
-    "d_ref": 1.0,
     "sigma2": 0.0,
     "n_list": "5,10,20,40",
     "variants": "none,front,rear,two_sided",
@@ -54,7 +53,7 @@ _SECTION_KEYS = {
     "controller": ("kp", "ki"),
     "wave": ("l", "fs", "truncate"),
     "scenario": (
-        "n", "variant", "duration", "v_ref", "d_ref", "sigma2", "seed",
+        "n", "variant", "duration", "v_ref", "sigma2", "seed",
         "dt", "out_every",
     ),
     "sweep": ("n_list", "variants"),
@@ -63,7 +62,7 @@ _SECTION_KEYS = {
 _TYPES = {
     "kp": float, "ki": float, "xi": float, "n": int, "l": int, "fs": float,
     "truncate": float, "dt": float, "seed": int, "variant": str,
-    "duration": float, "v_ref": float, "d_ref": float, "sigma2": float,
+    "duration": float, "v_ref": float, "sigma2": float,
     "n_list": str, "variants": str, "out_every": int,
 }
 
@@ -77,6 +76,11 @@ def load_config(path):
     for section, keys in _SECTION_KEYS.items():
         if not parser.has_section(section):
             continue
+        unknown = sorted(set(parser.options(section)) - set(keys))
+        if unknown:
+            raise WavePlatoonError(
+                f"unknown option(s) in [{section}] of {path}: {', '.join(unknown)}"
+            )
         for key in keys:
             if parser.has_option(section, key):
                 values[key] = _TYPES[key](parser.get(section, key))

@@ -15,22 +15,30 @@ held and fresh absorber commands. Every end input is affine in time within
 a tick (a ramp, or a linear slew from the held to the fresh command), so
 the RK4 samples of the inputs are exact and the matrix carries the ramp
 forward itself. Distance noise enters through one precomputed block per
-tick. With absorbers a run does one matrix-vector product per tick; without
-them nothing changes between output samples and reference events, so the
-run jumps between those with precomputed powers of the tick map, while a
-stacked product still checks every tick's velocities against
-``VELOCITY_LIMIT``.
+tick.
+
+A run advances in blocks of ticks that end at output samples, reference
+events and the end of the run. The absorbers are linear in the samples
+they measure, so the FIR feedback within a block is a unit lower-triangular
+linear system, solved once per run into precomputed maps. One product with
+them gives every tick's samples, commands and velocities and the state at
+the block's end; the absorbers' FIR histories enter as known terms.
+Without absorbers the maps reduce to powers of the tick map. Every tick's
+velocities are checked against ``VELOCITY_LIMIT``.
 """
 
 import functools
-import math
+from typing import NamedTuple
 
 import numpy as np
 from dataclasses import dataclass
 
-from .boundary import (
+from .boundary import (  # noqa: F401  (the per-tick steps stay importable here)
     Ramp,
+    absorber_commit,
+    absorber_front_block,
     absorber_front_step,
+    absorber_rear_block,
     absorber_rear_step,
     kappa_front,
     kappa_rear,
@@ -410,72 +418,128 @@ class _ReferenceTracker:
         self.rear_ramp = self.rear_ramp.continued(gains.wr, t)
 
 
-# the jump maps hold stride * dim**2 floats of powers and, with noise, about
-# (stride * m)**2 more for the per-tick guard; the stride is capped so that
-# neither exceeds this many floats (32 MB)
+# the block maps hold stride * dim**2 floats of powers of the tick map plus
+# the per-tick rows and input blocks; the stride is capped so that they stay
+# under this many floats (32 MB)
 JUMP_MAP_FLOATS = 1 << 22
 
 
-class _JumpMaps:
-    """Advance the augmented state ``z`` by 1..``stride`` control ticks at
-    once while every tick's velocities pass the divergence guard.
+class _Channel(NamedTuple):
+    """One absorber end as the block stepper sees it.
 
-    Holds ``M**j`` for the tick map ``M``, the noise block of ``stride``
-    ticks (``[M**(stride-1) N, ..., N]``, whose last ``j`` blocks serve a
-    ``j``-tick jump), and the velocity rows of ``M**1 .. M**(stride-1)``
-    and of their noise blocks, stacked so that one extra product gives the
-    velocities of the ticks a jump passes over.
+    ``block`` is the absorber's ``absorber_*_block`` function and ``state``
+    its ``AbsorberState``. The command written to ``z[fresh]`` is
+    ``command0`` plus the absorber's output; the absorber measures
+    ``z[row] - sample0`` plus, when ``noise`` is a column index, that
+    tick's noise draw.
     """
 
-    def __init__(self, dyn, stride, noisy):
-        self.m = m = dyn.config.n_vehicles
-        self.vel_rows = vel_rows = slice(1, dyn.n_states, 3)
-        tick = dyn.tick_map
-        self.powers = [None, tick]
+    state: object
+    block: object
+    fresh: int
+    row: int
+    noise: object
+    command0: float
+    sample0: float
+
+
+class _BlockMaps:
+    """Advance the augmented state ``z`` by 1..``stride`` control ticks at
+    once, solving the absorbers' FIR feedback inside the block.
+
+    With ``A`` the tick map with the fresh command columns zeroed and ``G``
+    those columns, one tick is ``z' = A z + G u + N w``. Each channel's
+    commands over a block are ``u = kappa + T y``: ``kappa`` is known before
+    the block, ``y`` are the block's samples (the measured state entry plus
+    a known ``offset``) and ``T`` is the lower-triangular Toeplitz matrix of
+    the FIR ``taps``. So every tick's samples, commands and the velocities
+    after it, and the state at the block's end, are linear in
+    ``x = [z0, (w_0, kappa_0, offset_0), (w_1, kappa_1, offset_1), ...]``.
+    ``full`` holds that map for a whole stride, built once by forward
+    substitution (the unit lower-triangular solve of the feedback). The
+    per-tick rows are causal, so a shorter ``j``-tick block uses their
+    leading ``j`` row and column blocks; its end state is ``A**j z0`` plus
+    the trailing ``j`` blocks of ``inputs = [A**(stride-1) [N G 0], ...,
+    [N G 0]]`` applied to ``x`` with the commands in place of ``kappa``.
+    Without absorbers there are no commands and the rows are just the
+    velocities.
+    """
+
+    def __init__(self, dyn, stride, channels, noisy, taps):
+        self.dim = dim = dyn.dim
+        m = dyn.config.n_vehicles
+        self.c = c = len(channels)
+        self.k = k = m - 1 if noisy else 0
+        self.q = q = k + 2 * c
+        self.r = r = 2 * c + m
+        self.stride = stride
+        fresh = [ch.fresh for ch in channels]
+        a = dyn.tick_map.copy()
+        a[:, fresh] = 0.0
+        inputs = np.hstack(
+            [dyn.tick_noise[:, :k], dyn.tick_map[:, fresh], np.zeros((dim, c))]
+        )
+        self.powers = [np.eye(dim)]  # A**j for the shorter blocks
         for _ in range(stride - 1):
-            self.powers.append(tick @ self.powers[-1])
-        passed = self.powers[1:stride]
-        self.vel = np.vstack([p[vel_rows] for p in passed]) if passed else None
-        self.noise = self.vel_noise = None
-        if noisy:
-            # blocks[d] = M**d N: one tick's draws, d ticks after that tick
-            blocks = [dyn.tick_noise] + [p @ dyn.tick_noise for p in passed]
-            self.noise = np.hstack(blocks[::-1])
-            # velocities after tick i see draw l < i through blocks[i-1-l]
-            k = m - 1
-            self.vel_noise = np.zeros(((stride - 1) * m, (stride - 1) * k))
-            for i in range(1, stride):
-                for l in range(i):
-                    self.vel_noise[(i - 1) * m : i * m, l * k : (l + 1) * k] = (
-                        blocks[i - 1 - l][vel_rows]
-                    )
+            self.powers.append(a @ self.powers[-1])
+        self.inputs = np.hstack([p @ inputs for p in self.powers[stride - 1 :: -1]])
 
-    def advance(self, z, j, noise):
-        """``z`` after ``j`` ticks; ``noise`` holds one row of draws per tick."""
-        out = self.powers[j] @ z
-        if noise is not None:
-            draws = noise.ravel()
-            out += self.noise[:, -draws.size :] @ draws
-        ok = np.isfinite(out).all() and (
-            np.abs(out[self.vel_rows]) <= VELOCITY_LIMIT
-        ).all()
-        if ok and j > 1:
-            rows = (j - 1) * self.m
-            passed = self.vel[:rows] @ z
-            if noise is not None:
-                cols = (j - 1) * (self.m - 1)
-                passed += self.vel_noise[:rows, :cols] @ draws[:cols]
-            ok = (np.abs(passed) <= VELOCITY_LIMIT).all()
-        if not ok:
-            raise NonFiniteState("simulation diverged")
-        return out
+        h = np.zeros(stride)
+        h[: min(stride, len(taps))] = taps[:stride]
+        cols = dim + stride * q
+        coef = np.zeros((dim, cols))  # z after i ticks as a map of x
+        coef[:, :dim] = np.eye(dim)
+        samples = np.zeros((stride, c, cols))
+        rows = np.zeros((stride, r, cols))
+        sample_rows = [ch.row for ch in channels]
+        for i in range(stride):
+            w = dim + i * q
+            samples[i] = coef[sample_rows]
+            samples[i, range(c), range(w + k + c, w + q)] += 1.0
+            for ci, ch in enumerate(channels):
+                if noisy and ch.noise is not None:
+                    samples[i, ci, w + ch.noise] += 1.0
+            u = np.tensordot(h[i::-1], samples[: i + 1], axes=1)
+            u[range(c), range(w + k, w + k + c)] += 1.0
+            coef = a @ coef + inputs[:, : k + c] @ np.vstack([np.eye(k, cols, w), u])
+            rows[i, :c] = samples[i]
+            rows[i, c : 2 * c] = u
+            rows[i, 2 * c :] = coef[1 : dyn.n_states : 3]
+        self.full = np.vstack([rows.reshape(stride * r, cols), coef])
+
+    def step(self, z, j, noise, kappa, offset):
+        """Per-tick ``[samples, commands, velocities after the tick]`` of a
+        ``j``-tick block from ``z``, and ``z`` at the block's end."""
+        dim, q, r, k, c = self.dim, self.q, self.r, self.k, self.c
+        x = z
+        if q:
+            x = np.empty(dim + j * q)
+            x[:dim] = z
+            ticks = x[dim:].reshape(j, q)
+            ticks[:, :k] = noise
+            ticks[:, k : k + c] = kappa
+            ticks[:, k + c :] = offset
+        if j == self.stride:
+            out = self.full @ x
+            return out[: j * r].reshape(j, r), out[j * r :]
+        out = (self.full[: j * r, : dim + j * q] @ x).reshape(j, r)
+        end = self.powers[j] @ z
+        if q:
+            ticks[:, k : k + c] = out[:, c : 2 * c]
+            end += self.inputs[:, (self.stride - j) * q :] @ x[dim:]
+        return out, end
 
 
-def _jump_stride(out_every, dim, m, noisy):
-    stride = min(out_every, JUMP_MAP_FLOATS // (dim * dim))
-    if noisy:
-        stride = min(stride, math.isqrt(JUMP_MAP_FLOATS) // m)
-    return max(stride, 1)
+def _block_stride(out_every, dim, rows, cols):
+    """Largest stride up to ``out_every`` whose maps fit JUMP_MAP_FLOATS."""
+
+    def floats(b):
+        return b * dim * dim + b * (rows + dim) * (dim + b * cols)
+
+    stride = max(min(out_every, JUMP_MAP_FLOATS // (dim * dim)), 1)
+    while stride > 1 and floats(stride) > JUMP_MAP_FLOATS:
+        stride -= 1
+    return stride
 
 
 def _event_tick(time, ctrl_dt):
@@ -494,10 +558,13 @@ def run_scenario(config, scenario, fir=None):
     held to the fresh value over each control tick. The trace is sampled
     every ``scenario.out_every`` control ticks.
 
-    Each control tick is one product with the augmented tick map. With an
-    absorber the loop visits every tick; without one nothing changes
-    between output samples and event ticks, so the loop jumps between them
-    with precomputed powers of the map.
+    The run advances in blocks that end at output samples, event ticks and
+    the end of the run. Within a block the absorbers' commands are linear
+    in the samples they measure, so one product with precomputed maps
+    gives every tick's samples, commands and velocities and the state at
+    the block's end (a block cut short by an event or the run's end takes
+    the end state from a second product). Each block draws its noise in
+    one call, and the divergence guard sees every tick.
     """
     m = config.n_vehicles
     variant = scenario.variant
@@ -506,8 +573,6 @@ def run_scenario(config, scenario, fir=None):
     z = np.zeros(dyn.dim)
     z[:n] = _states_to_vec(build_platoon(config))
     x_first0 = z[0]
-    x_follower0 = z[3]
-    x_prev0 = z[3 * (m - 2)]
     x_last0 = z[3 * (m - 1)]
 
     front_abs = rear_abs = None
@@ -519,14 +584,23 @@ def run_scenario(config, scenario, fir=None):
         if abs(fir.fs - config.fs_ctrl) > 1e-9:
             raise InvalidConfig("absorber FIR rate must match fs_ctrl")
     refs = _ReferenceTracker(config, variant)
+    channels = []
     if variant in ("front", "two_sided"):
         front_abs = make_front_absorber(fir, refs.front_ramp)
+        channels.append(_Channel(
+            front_abs, absorber_front_block, dyn.front_fresh, 3, None,
+            x_first0, z[3],
+        ))
         # the command that drove the plant into the current sample; a
         # commanded end's instantaneous velocity is its controller output
         # under the held command, not under the one about to be applied
         z[dyn.front_held] = x_first0
     if variant in ("rear", "two_sided"):
         rear_abs = make_rear_absorber(fir, refs.rear_ramp, index=m - 2)
+        channels.append(_Channel(
+            rear_abs, absorber_rear_block, dyn.rear_fresh, 3 * (m - 2), m - 2,
+            x_last0, z[3 * (m - 2)],
+        ))
         z[dyn.rear_held] = x_last0
 
     rng = None
@@ -536,10 +610,15 @@ def run_scenario(config, scenario, fir=None):
         rng = np.random.default_rng(scenario.noise.seed)
 
     out_every = scenario.out_every
-    stride = 1
-    if front_abs is None and rear_abs is None:
-        stride = _jump_stride(out_every, dyn.dim, m, rng is not None)
-    jumps = _JumpMaps(dyn, stride, rng is not None)
+    c = len(channels)
+    noise_cols = m - 1 if rng is not None else 0
+    stride = _block_stride(out_every, dyn.dim, 2 * c + m, noise_cols + 2 * c)
+    blocks = _BlockMaps(
+        dyn, stride, channels, rng is not None,
+        fir.taps if channels else np.zeros(0),
+    )
+    command0 = np.array([ch.command0 for ch in channels])
+    sample0 = np.array([ch.sample0 for ch in channels])
 
     ctrl_dt = 1.0 / config.fs_ctrl
     n_ctrl = int(round(scenario.duration * config.fs_ctrl))
@@ -567,43 +646,54 @@ def run_scenario(config, scenario, fir=None):
         boundary = min(n_ctrl, k + stride, (k // out_every + 1) * out_every)
         if next_event < len(events):
             boundary = min(boundary, event_ticks[next_event])
+        # the last tick is a one-tick block that gives its commands only
+        j = max(boundary - k, 1)
         noise = None
         if rng is not None:
-            noise = inject_noise(rng, sigma2, (max(boundary - k, 1), m - 1))
+            noise = inject_noise(rng, sigma2, (j, m - 1))
 
-        if front_abs is not None:
-            front_val = x_first0 + absorber_front_step(
-                front_abs, z[3] - x_follower0, t
-            )
-            z[dyn.front_fresh] = front_val
-            v_front = z[dyn.front_held]
-        else:
+        if front_abs is None:
             front_val = x_first0 + refs.front_ramp(t)
             z[dyn.ramp] = front_val
             z[dyn.ramp_slope] = refs.front_ramp.slope
-            v_front = front_val
-        if rear_abs is not None:
-            measured = z[3 * (m - 2)] - x_prev0
-            if noise is not None:
-                measured += noise[0, m - 2]
-            rear_cmd = x_last0 + absorber_rear_step(rear_abs, measured, t)
-            z[dyn.rear_fresh] = rear_cmd
-            v_rear = z[dyn.rear_held]
-        else:
+        if rear_abs is None:
             z[dyn.spacing] = refs.d_target
-            v_rear = 0.0
+        kappa = offset = None
+        if channels:
+            kappa = np.empty((j, c))
+            offset = np.empty((j, c))
+            for i, ch in enumerate(channels):
+                kappa[:, i], offset[:, i] = ch.block(ch.state, t, j)
+            kappa += command0
+            offset -= sample0
+        out, end = blocks.step(z, j, noise, kappa, offset)
+        commands = out[:, c : 2 * c]
 
         if k % out_every == 0:
+            if front_abs is not None:
+                front_val = commands[0, 0]
             t_out[row] = t
             x_out[row] = z[0:n:3]
-            v_out[row] = dyn.velocities(z[:n], v_front, v_rear)
+            v_out[row] = dyn.velocities(
+                z[:n],
+                z[dyn.front_held] if front_abs is not None else front_val,
+                z[dyn.rear_held] if rear_abs is not None else 0.0,
+            )
             c_out[row, 0] = front_val
             if rear_abs is not None:
-                c_out[row, 1] = rear_cmd
+                c_out[row, 1] = commands[0, -1]
             row += 1
         if k == n_ctrl:
             break
-        z = jumps.advance(z, boundary - k, noise)
+        z = end
+        if not (
+            np.abs(out[:, 2 * c :]).max() <= VELOCITY_LIMIT
+            and np.isfinite(z).all()
+            and np.isfinite(out[:, : 2 * c]).all()
+        ):
+            raise NonFiniteState("simulation diverged")
+        for i, ch in enumerate(channels):
+            absorber_commit(ch.state, out[:, i], commands[:, i] - ch.command0)
         k = boundary
 
     return SimulationTrace(

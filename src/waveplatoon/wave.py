@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOverflow, SampleRateMismatch, ZeroNumerator, DegenerateDenominator
+from .errors import DegreeOverflow, ZeroNumerator, DegenerateDenominator
 from .lti import RationalTF, freq_response, impulse_response, tf_add, tf_inv, tf_mul
 
 # Degree cap for the continued-fraction recursion; exceeding it means
@@ -202,18 +202,3 @@ def peak_wave_gain(coupling, omegas, approx=None):
     if approx is not None:
         amax = float(np.max(np.abs(freq_response(approx.approx, omegas).values)))
     return PeakGain(exact=exact, approx=amax, omegas=resp.omegas)
-
-
-def fir_convolve(fir, history, fs=None):
-    """Dot product of taps with the most recent samples (zero-padded past).
-
-    ``history`` is ordered oldest first; its last element is the newest
-    sample. ``fs``, when given, must match the filter's design rate.
-    """
-    if fs is not None and abs(float(fs) - fir.fs) > 1e-9 * fir.fs:
-        raise SampleRateMismatch(f"history rate {fs} != filter rate {fir.fs}")
-    h = np.asarray(history, dtype=float)
-    if h.ndim != 1:
-        raise ValueError("history must be 1-D")
-    recent = h[::-1][: len(fir.taps)]
-    return float(np.dot(fir.taps[: len(recent)], recent))

@@ -140,6 +140,35 @@ def test_fir_buffer_matches_full_convolution():
         assert buf.dot(taps) == pytest.approx(want)
 
 
+def test_fir_buffer_short_history_zero_padded():
+    buf = FirBuffer(3)
+    taps = np.array([1.0, 2.0, 3.0])
+    buf.push(5.0)
+    assert buf.dot(taps) == pytest.approx(5.0)
+    buf.push(1.0)
+    buf.push(5.0)
+    assert buf.dot(taps) == pytest.approx(5.0 + 2.0 + 3.0 * 5.0)
+
+
+def test_fir_buffer_block_window_matches_numpy():
+    # blocks of uneven length, enough of them that the buffer moves its
+    # newest samples to the front several times and once grows
+    rng = np.random.default_rng(5)
+    taps = rng.normal(size=12)
+    buf = FirBuffer(12)
+    hist = np.zeros(0)
+    for count in [1, 7, 30, 3, 60, 12] * 4:
+        block = rng.normal(size=count)
+        buf.extend(block)
+        hist = np.concatenate([hist, block])
+        want = np.convolve(hist, taps)[len(hist) - count : len(hist)]
+        got = np.correlate(buf.window(count), taps[::-1], "valid")
+        assert got == pytest.approx(want)
+        assert buf.dot(taps) == pytest.approx(want[-1])
+    with pytest.raises(ValueError):
+        buf.window(len(hist))
+
+
 def test_squared_fir(nominal_fir):
     sq = squared_fir(nominal_fir)
     assert len(sq.taps) == len(nominal_fir.taps)

@@ -123,6 +123,20 @@ def test_config_file_precedence(tmp_path, capsys):
     assert json.loads(out)["iterations"] == 3
 
 
+def test_unknown_config_option_is_an_error(tmp_path, capsys):
+    # a key that would be read and then ignored must not pass silently
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario]\nn = 4\nd_ref = 2.0\n")
+    with pytest.raises(WavePlatoonError, match="d_ref"):
+        load_config(cfg)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert "d_ref" in err
+    # sections the CLI does not know are left alone
+    cfg.write_text("[scenario]\nn = 4\n\n[notes]\nd_ref = 2.0\n")
+    assert load_config(cfg) == {"n": 4}
+
+
 def test_missing_config_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--config", str(tmp_path / "absent.ini"),

@@ -7,8 +7,16 @@ from waveplatoon import sim
 
 from waveplatoon.errors import InvalidConfig, NonFiniteState
 from waveplatoon.lti import freq_response
-from waveplatoon.boundary import chain_tf_prediction, ChainModel
+from waveplatoon.boundary import (
+    ChainModel,
+    absorber_front_step,
+    absorber_rear_step,
+    chain_tf_prediction,
+    make_front_absorber,
+    make_rear_absorber,
+)
 from waveplatoon.sim import (
+    VARIANTS,
     Event,
     NoiseSpec,
     PlatoonConfig,
@@ -22,6 +30,12 @@ from waveplatoon.sim import (
     step,
     trace_to_csv,
 )
+from waveplatoon.wave import wave_fir, wave_tf_approx
+
+
+@pytest.fixture(scope="module")
+def nominal_fir():
+    return wave_fir(wave_tf_approx(PlatoonConfig(n_vehicles=2).coupling()), 100.0)
 
 
 def test_config_validation():
@@ -227,33 +241,164 @@ def test_decimated_fold_property(n, k, seed, event_tick):
     _assert_decimation_exact(cfg, spec, k)
 
 
-@pytest.mark.parametrize("noise", [None, NoiseSpec(variance=0.2, seed=4)])
-def test_guard_sees_ticks_between_samples(monkeypatch, noise):
-    # the guard passes a limit just above the peak follower speed over all
-    # ticks and trips on one between that peak and the peak at the sampled
-    # ticks: only a guard that evaluates every tick exactly does both
-    cfg = PlatoonConfig(n_vehicles=5)
-    spec = lambda k: ScenarioSpec(
-        duration=20.0, events=((0.0, "set_v_ref", 1.0),), noise=noise,
+def _per_tick_reference(config, spec, fir):
+    """``run_scenario`` one control tick at a time: the tick map, its noise
+    block and the per-tick absorber steps, sampled every ``out_every``."""
+    m, variant = config.n_vehicles, spec.variant
+    dyn = PlatoonDynamics(config, rear_commanded=variant in ("rear", "two_sided"))
+    n = dyn.n_states
+    z = np.zeros(dyn.dim)
+    z[0:n:3] = (m - 1 - np.arange(m)) * config.d_ref0
+    x0 = z[:n].copy()
+    refs = sim._ReferenceTracker(config, variant)
+    front = rear = None
+    if variant in ("front", "two_sided"):
+        front = make_front_absorber(fir, refs.front_ramp)
+        z[dyn.front_held] = x0[0]
+    if variant in ("rear", "two_sided"):
+        rear = make_rear_absorber(fir, refs.rear_ramp, index=m - 2)
+        z[dyn.rear_held] = x0[n - 3]
+    rng = np.random.default_rng(spec.noise.seed)
+    events = list(spec.events)
+    rows = []
+    for k in range(int(round(spec.duration * config.fs_ctrl)) + 1):
+        t = k * (1.0 / config.fs_ctrl)
+        while events and events[0].time <= t + 1e-12:
+            refs.apply(events.pop(0), t)
+        w = inject_noise(rng, spec.noise.variance, m - 1)
+        cmd = [x0[0] + refs.front_ramp(t), np.nan]
+        if front is not None:
+            front.ramp = refs.front_ramp
+            cmd[0] = x0[0] + absorber_front_step(front, z[3] - x0[3], t)
+            z[dyn.front_fresh] = cmd[0]
+        else:
+            z[dyn.ramp], z[dyn.ramp_slope] = cmd[0], refs.front_ramp.slope
+        if rear is not None:
+            rear.ramp = refs.rear_ramp
+            measured = z[n - 6] - x0[n - 6] + w[m - 2]
+            cmd[1] = x0[n - 3] + absorber_rear_step(rear, measured, t)
+            z[dyn.rear_fresh] = cmd[1]
+        else:
+            z[dyn.spacing] = refs.d_target
+        if k % spec.out_every == 0:
+            v_front = z[dyn.front_held] if front is not None else cmd[0]
+            v_rear = z[dyn.rear_held] if rear is not None else 0.0
+            v = dyn.velocities(z[:n], v_front, v_rear)
+            rows.append((t, z[0:n:3].copy(), v, cmd))
+        z = dyn.tick_map @ z + dyn.tick_noise @ w
+    t, x, v, c = (np.array(col) for col in zip(*rows))
+    return sim.SimulationTrace(t, x, v, c, variant)
+
+
+def _assert_matches_reference(config, spec, fir):
+    got = run_scenario(config, spec, fir=fir)
+    want = _per_tick_reference(config, spec, fir)
+    assert np.array_equal(got.t, want.t)
+    for field in ("positions", "velocities", "commands"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        scale = np.nanmax(np.abs(b))
+        assert np.nanmax(np.abs(a - b)) <= 1e-9 * scale, field
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    variant=st.sampled_from(("front", "rear", "two_sided")),
+    n=st.integers(3, 12),
+    k=st.integers(1, 25),
+    dt=st.sampled_from((0.01, 0.005)),
+    seed=st.integers(0, 2**31 - 1),
+    event_tick=st.integers(1, 300),
+)
+def test_block_stepper_matches_per_tick_reference(
+    nominal_fir, variant, n, k, dt, seed, event_tick
+):
+    # absorber blocks end at output samples and at an event tick that sits
+    # off the output grid, so full and partial blocks both occur
+    if k > 1 and event_tick % k == 0:
+        event_tick += 1
+    cfg = PlatoonConfig(n_vehicles=n, dt=dt)
+    spec = ScenarioSpec(
+        duration=4.0,
+        events=((event_tick / 100.0, "set_v_ref", 1.0),),
+        noise=NoiseSpec(variance=0.1, seed=seed),
+        variant=variant,
         out_every=k,
     )
-    speeds = np.abs(run_scenario(cfg, spec(1)).velocities[:, 1:]).max(axis=1)
+    _assert_matches_reference(cfg, spec, nominal_fir)
+
+
+def test_block_stepper_matches_reference_over_long_run(nominal_fir):
+    # 12 001 ticks: each absorber history (1501 taps in a buffer of 4*1501
+    # samples that starts with 1501 zeros) first moves its newest samples
+    # to the front after 3*1501 samples and again after 3*1501 + 1 more
+    cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
+    spec = ScenarioSpec(
+        duration=120.0,
+        events=((0.37, "set_v_ref", 1.0), (61.13, "set_d_ref", 1.4)),
+        noise=NoiseSpec(variance=0.05, seed=21),
+        variant="two_sided",
+        out_every=9,
+    )
+    assert 120.0 * cfg.fs_ctrl > 2 * (3 * len(nominal_fir.taps) + 1)
+    _assert_matches_reference(cfg, spec, nominal_fir)
+
+
+_GUARD_NOISE = ((None, "None"), (NoiseSpec(variance=0.2, seed=4), "noise1"))
+
+
+@pytest.mark.parametrize("variant,noise", [
+    pytest.param(variant, noise, id=label if variant == "none" else f"{variant}-{label}")
+    for variant in VARIANTS
+    for noise, label in _GUARD_NOISE
+])
+def test_guard_sees_ticks_between_samples(monkeypatch, nominal_fir, variant, noise):
+    # the guard passes a limit just above the peak follower speed over all
+    # ticks and trips on one between that peak and the peak at the sampled
+    # ticks: only a guard that evaluates every tick exactly does both. A
+    # commanded tail has no velocity state; its speed is its controller
+    # output, which the guard does not see. Absorbers speed the platoon up
+    # without overshoot, so their runs end off the output grid: without
+    # noise the peak then falls in the unsampled last ticks.
+    cfg = PlatoonConfig(n_vehicles=5)
+    spec = lambda k: ScenarioSpec(
+        duration=20.0 if variant == "none" else 20.25,
+        events=((0.0, "set_v_ref", 1.0),), noise=noise, variant=variant,
+        out_every=k,
+    )
+    guarded = slice(1, -1) if variant in ("rear", "two_sided") else slice(1, None)
+    speeds = np.abs(
+        run_scenario(cfg, spec(1), fir=nominal_fir).velocities[:, guarded]
+    ).max(axis=1)
     peak, sampled = speeds.max(), speeds[::50].max()
     assert peak > sampled
     monkeypatch.setattr(sim, "VELOCITY_LIMIT", peak * (1.0 + 1e-9))
-    run_scenario(cfg, spec(50))
+    run_scenario(cfg, spec(50), fir=nominal_fir)
     monkeypatch.setattr(sim, "VELOCITY_LIMIT", 0.5 * (peak + sampled))
     with pytest.raises(NonFiniteState):
-        run_scenario(cfg, spec(50))
+        run_scenario(cfg, spec(50), fir=nominal_fir)
 
 
-def test_unstable_gains_raise_when_decimated():
-    cfg = PlatoonConfig(n_vehicles=3, ki=-50.0)
-    spec = ScenarioSpec(
-        duration=30.0, events=((0.5, "set_v_ref", 1.0),), out_every=50
+def test_absorber_fir_rate_must_match_control_rate():
+    half_rate = wave_fir(
+        wave_tf_approx(PlatoonConfig(n_vehicles=2).coupling()), 50.0
     )
-    with pytest.raises(NonFiniteState):
-        run_scenario(cfg, spec)
+    spec = ScenarioSpec(duration=1.0, variant="front")
+    with pytest.raises(InvalidConfig):
+        run_scenario(PlatoonConfig(n_vehicles=3), spec, fir=half_rate)
+
+
+def test_unstable_gains_raise_when_decimated(nominal_fir):
+    # the absorbers run on the nominal FIR: unstable gains have no
+    # approximant to build one from
+    cfg = PlatoonConfig(n_vehicles=3, ki=-50.0)
+    for variant in VARIANTS:
+        spec = ScenarioSpec(
+            duration=30.0, events=((0.5, "set_v_ref", 1.0),), variant=variant,
+            out_every=50,
+        )
+        with pytest.raises(NonFiniteState):
+            run_scenario(cfg, spec, fir=nominal_fir)
 
 
 def test_dt_refinement_converges():

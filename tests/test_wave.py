@@ -11,7 +11,6 @@ from waveplatoon.wave import (
     WaveApprox,
     WaveFIR,
     coupling_from_gains,
-    fir_convolve,
     friction_plant,
     make_coupling,
     peak_wave_gain,
@@ -23,7 +22,6 @@ from waveplatoon.wave import (
 )
 from waveplatoon.errors import (
     DegreeOverflow,
-    SampleRateMismatch,
     ZeroNumerator,
 )
 
@@ -175,28 +173,6 @@ def test_fir_step_response():
     assert sr.shape == f.taps.shape
     assert sr[-1] == pytest.approx(f.dc)
     assert sr[0] == f.taps[0]
-
-
-def test_fir_convolve_matches_numpy():
-    rng = np.random.default_rng(5)
-    taps = rng.normal(size=12)
-    f = WaveFIR(taps=taps, fs=10.0, span=1.1)
-    hist = rng.normal(size=30)
-    mine = fir_convolve(f, hist)
-    ref = np.convolve(hist, taps)[len(hist) - 1]
-    assert mine == pytest.approx(ref)
-
-
-def test_fir_convolve_short_history_zero_padded():
-    f = WaveFIR(taps=np.array([1.0, 2.0, 3.0]), fs=10.0, span=0.2)
-    assert fir_convolve(f, [5.0]) == pytest.approx(5.0)
-    assert fir_convolve(f, [1.0, 5.0]) == pytest.approx(5.0 + 2.0)
-
-
-def test_fir_convolve_rate_check():
-    f = WaveFIR(taps=np.zeros(3), fs=10.0, span=0.2)
-    with pytest.raises(SampleRateMismatch):
-        fir_convolve(f, [0.0], fs=25.0)
 
 
 def test_peak_gain_exact_bounded():
