@@ -55,12 +55,10 @@ from .sim import (  # noqa: F401
     PlatoonConfig,
     ScenarioSpec,
     SimulationTrace,
-    VehicleState,
     build_platoon,
     chain_state_space,
     inject_noise,
     run_scenario,
-    step,
     trace_to_csv,
 )
 from .metrics import (  # noqa: F401

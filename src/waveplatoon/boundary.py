@@ -43,6 +43,15 @@ def forced_end_reflection_tf(coupling, approx):
     return g, tf_mul(g, g) * (-1.0)
 
 
+def _shifted_coupling(coupling):
+    """The coupling ratio less 2 as its own rational; evaluating it directly
+    keeps its digits where the ratio is close to 2 (near s=0)."""
+    shifted = tf_add(coupling.tf, -2.0)
+    if shifted.num.is_zero:
+        raise DegenerateDenominator("coupling ratio is identically 2")
+    return shifted
+
+
 def free_end_reflection_tf(coupling, approx):
     """Transfer pair at a spacing-regulated end vehicle.
 
@@ -51,9 +60,7 @@ def free_end_reflection_tf(coupling, approx):
     reference forcing.
     """
     g = _approx_tf(approx)
-    shifted = tf_add(coupling.tf, -2.0)
-    if shifted.num.is_zero:
-        raise DegenerateDenominator("coupling ratio is identically 2")
+    shifted = _shifted_coupling(coupling)
     try:
         ref_term = tf_mul(tf_add(g, -1.0), tf_inv(shifted))
     except ZeroNumerator as exc:
@@ -65,32 +72,24 @@ def _exact_wave(coupling, s):
     return wave_tf_exact(eval_at(coupling.tf, s))
 
 
-def kappa_front(coupling, approx=None, vehicles=1):
+def kappa_front(coupling):
     """Steady velocity produced at the head of the platoon per unit of
     reference-spacing change, for a wave-commanded leader.
 
     Evaluated on the exact wave transfer function near s=0; finite
-    approximants flatten at the origin and would report zero. The result
-    does not depend on ``vehicles`` because the wave transfer function has
-    unit static gain; the argument is accepted for callers that track it.
+    approximants flatten at the origin and would report zero.
     """
-    if vehicles < 1:
-        raise ValueError("vehicles must be >= 1")
-    shifted = tf_add(coupling.tf, -2.0)
-    if shifted.num.is_zero:
-        raise DegenerateDenominator("coupling ratio is identically 2")
+    shifted = _shifted_coupling(coupling)
 
     def path(s):
-        # evaluate the shift as its own rational: forming coupling(s) - 2
-        # at tiny s would cancel away all significant digits
         d = eval_at(shifted, s)
         g = wave_tf_exact_shifted(d)
-        return g**vehicles * s * (g - 1.0) / d
+        return g * s * (g - 1.0) / d
 
     return origin_limit(path)
 
 
-def kappa_rear(coupling, approx=None, diagnostics=False):
+def kappa_rear(coupling, diagnostics=False):
     """Steady spacing change per unit of sustained head velocity at a
     spacing-regulated tail, as the static gain of (1 - G)/s.
 
@@ -99,9 +98,7 @@ def kappa_rear(coupling, approx=None, diagnostics=False):
     (equal when k_i = xi). Gains are read off the coupling's plant and
     controller when their shapes allow it.
     """
-    shifted = tf_add(coupling.tf, -2.0)
-    if shifted.num.is_zero:
-        raise DegenerateDenominator("coupling ratio is identically 2")
+    shifted = _shifted_coupling(coupling)
 
     def path(s):
         g = wave_tf_exact_shifted(eval_at(shifted, s))
@@ -193,9 +190,6 @@ class FirBuffer:
         self._buf[self._end : self._end + count] = values
         self._end += count
 
-    def push(self, value):
-        self.extend((value,))
-
     def window(self, count):
         """The newest ``size - 1 + count`` samples, oldest first: the FIR
         products at the last ``count`` samples are
@@ -205,19 +199,12 @@ class FirBuffer:
             raise ValueError("window reaches past the kept history")
         return self._buf[start : self._end]
 
-    def dot(self, taps):
-        """sum_j taps[j]*sample[k-j], missing history counted as zero."""
-        if len(taps) != self.size:
-            raise ValueError("taps length must match buffer size")
-        return float(taps @ self.window(1)[::-1])
-
 
 class WaveComponents:
     """Latest forward (``a``) and backward (``b``) wave samples of one
     vehicle; None before the first step."""
 
-    def __init__(self, index=0):
-        self.index = index
+    def __init__(self):
         self.a = None
         self.b = None
 
@@ -248,11 +235,11 @@ class AbsorberState:
     the wave FIR. Positions are deviations from the starting pose.
     """
 
-    def __init__(self, fir, ramp, fir_squared=None, index=0):
+    def __init__(self, fir, ramp, fir_squared=None):
         self.fir = fir
         self.fir_squared = fir_squared
         self.ramp = ramp
-        self.own_wave = WaveComponents(index)
+        self.own_wave = WaveComponents()
         self.last_t = None
         m = len(fir.taps)
         self._samples = FirBuffer(m)
@@ -264,25 +251,17 @@ class AbsorberState:
         self._taps_rev = fir.taps[::-1].copy()
         self._echo_rev = echo_taps[::-1].copy()
 
-    @property
-    def ramp_slope(self):
-        return self.ramp.slope
-
-    @property
-    def ramp_start(self):
-        return self.ramp.start
-
 
 def make_front_absorber(fir, ramp, fir_squared=None):
     if fir_squared is None:
         fir_squared = squared_fir(fir)
     if fir_squared.fs != fir.fs:
         raise SampleRateMismatch("squared FIR must share the sample rate")
-    return AbsorberState(fir, ramp, fir_squared=fir_squared, index=0)
+    return AbsorberState(fir, ramp, fir_squared=fir_squared)
 
 
-def make_rear_absorber(fir, ramp, index=0):
-    return AbsorberState(fir, ramp, index=index)
+def make_rear_absorber(fir, ramp):
+    return AbsorberState(fir, ramp)
 
 
 def _advance_time(state, t, count):

@@ -176,7 +176,7 @@ def _cmd_simulate(args):
     v = _resolve(args, keys)
     config = PlatoonConfig(
         n_vehicles=v["n"], kp=v["kp"], ki=v["ki"], xi=v["xi"],
-        dt=v["dt"], fs_ctrl=v["fs"], v_ref=v["v_ref"],
+        dt=v["dt"], fs_ctrl=v["fs"],
     )
     noise = NoiseSpec(v["sigma2"], v["seed"]) if v["sigma2"] > 0 else None
     scenario = ScenarioSpec(
@@ -240,7 +240,7 @@ def _cmd_noise(args):
     v = _resolve(args, keys, overrides={"sigma2": 1.0, "duration": 2000.0})
     config = PlatoonConfig(
         n_vehicles=v["n"], kp=v["kp"], ki=v["ki"], xi=v["xi"],
-        dt=v["dt"], fs_ctrl=v["fs"], d_ref0=0.0, v_ref=0.0,
+        dt=v["dt"], fs_ctrl=v["fs"], d_ref0=0.0,
     )
     scenario = ScenarioSpec(
         duration=v["duration"],

@@ -27,7 +27,6 @@ Without absorbers the maps reduce to powers of the tick map. Every tick's
 velocities are checked against ``VELOCITY_LIMIT``.
 """
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +68,6 @@ class PlatoonConfig:
     ki: float = 4.0
     xi: float = 4.0
     d_ref0: float = 1.0
-    v_ref: float = 1.0
     dt: float = 0.01
     fs_ctrl: float = 100.0
 
@@ -90,15 +88,6 @@ class PlatoonConfig:
 
     def coupling(self):
         return coupling_from_gains(self.kp, self.ki, self.xi)
-
-
-@dataclass
-class VehicleState:
-    """Position, velocity, and spacing-controller integrator of one vehicle."""
-
-    x: float
-    v: float
-    z: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -167,12 +156,63 @@ class SimulationTrace:
 
 
 def build_platoon(config):
-    """Vehicles at rest, evenly spaced by d_ref0, integrators zeroed; the
-    last vehicle sits at position zero."""
+    """Plant state ``[x, v, z]`` per vehicle of a platoon at rest, evenly
+    spaced by d_ref0 with integrators zeroed; the last vehicle sits at
+    position zero."""
     m = config.n_vehicles
-    return [
-        VehicleState(x=(m - 1 - i) * config.d_ref0, v=0.0, z=0.0) for i in range(m)
-    ]
+    s = np.zeros(3 * m)
+    s[0::3] = (m - 1 - np.arange(m)) * config.d_ref0
+    return s
+
+
+def _chain_matrix(m, kp, ki, xi, rear_commanded):
+    """State matrix of an m-vehicle chain on ``[x, v, z]`` per vehicle,
+    and its head-command, tail-input and distance-noise input columns.
+
+    Interior vehicles are bidirectionally coupled PI loops on their
+    spacing errors. The head servos to a position command. The tail
+    servos to one when ``rear_commanded``; otherwise it regulates its gap
+    to its predecessor, and its input is the spacing reference.
+    """
+    n = 3 * m
+    a = np.zeros((n, n))
+    b_front = np.zeros(n)
+    b_rear = np.zeros(n)
+    b_noise = np.zeros((n, m - 1))
+
+    def couple(i, error_cols):
+        # error_cols: list of (state column, weight) building e_i
+        a[3 * i, 3 * i + 1] = 1.0
+        a[3 * i + 1, 3 * i + 1] = -xi
+        a[3 * i + 1, 3 * i + 2] = ki
+        for col, w in error_cols:
+            a[3 * i + 1, col] += kp * w
+            a[3 * i + 2, col] += w
+
+    def servo(i, b_vec):
+        # dx/dt = kp*(u - x) + ki*z, dz/dt = u - x
+        a[3 * i, 3 * i] = -kp
+        a[3 * i, 3 * i + 2] = ki
+        a[3 * i + 2, 3 * i] = -1.0
+        b_vec[3 * i] = kp
+        b_vec[3 * i + 2] = 1.0
+
+    servo(0, b_front)
+    for i in range(1, m - 1):
+        couple(i, [(3 * (i - 1), 1.0), (3 * i, -2.0), (3 * (i + 1), 1.0)])
+        b_noise[3 * i + 1, i - 1] = kp
+        b_noise[3 * i + 2, i - 1] = 1.0
+    last = m - 1
+    if rear_commanded:
+        servo(last, b_rear)
+    else:
+        couple(last, [(3 * (last - 1), 1.0), (3 * last, -1.0)])
+        # spacing reference enters the tail error with weight -1
+        b_rear[3 * last + 1] = -kp
+        b_rear[3 * last + 2] = -1.0
+        b_noise[3 * last + 1, last - 1] = kp
+        b_noise[3 * last + 2, last - 1] = 1.0
+    return a, b_front, b_rear, b_noise
 
 
 def _rk4_maps(a, h):
@@ -200,9 +240,9 @@ class PlatoonDynamics:
     unused velocity slot stays zero and the true velocity is computed on
     demand.
 
-    ``trans`` and the ``*_zoh`` vectors advance the 3m plant states one
-    step of ``dt`` under held inputs. ``tick_map`` advances one control
-    tick (``config.substeps`` steps) of the augmented state
+    ``a`` is the plant's state matrix from ``_chain_matrix``. ``tick_map``
+    advances one control tick (``config.substeps`` RK4 steps of
+    ``config.dt``) of the augmented state
     ``z = [s, u, du, d, front held, front fresh, rear held, rear fresh]``:
     the head input is the ramp ``u + du*tau`` plus the slew from the held
     to the fresh head command, and the tail input is the spacing reference
@@ -217,65 +257,24 @@ class PlatoonDynamics:
 
     AUX = 7  # augmented slots after the plant states
 
-    def __init__(self, config, rear_commanded, dt=None):
+    def __init__(self, config, rear_commanded):
         self.config = config
         self.rear_commanded = rear_commanded
-        self.dt = config.dt if dt is None else dt
         m = config.n_vehicles
-        kp, ki, xi = config.kp, config.ki, config.xi
-        n = 3 * m
-        a = np.zeros((n, n))
-        b_front = np.zeros(n)
-        b_rear = np.zeros(n)
-        b_noise = np.zeros((n, m - 1))
-
-        def couple(i, error_cols):
-            # error_cols: list of (state column, weight) building e_i
-            a[3 * i, 3 * i + 1] = 1.0
-            a[3 * i + 1, 3 * i + 1] = -xi
-            a[3 * i + 1, 3 * i + 2] = ki
-            for col, w in error_cols:
-                a[3 * i + 1, col] += kp * w
-                a[3 * i + 2, col] += w
-
-        def servo(i, b_vec):
-            # dx/dt = kp*(u - x) + ki*z, dz/dt = u - x
-            a[3 * i, 3 * i] = -kp
-            a[3 * i, 3 * i + 2] = ki
-            a[3 * i + 2, 3 * i] = -1.0
-            b_vec[3 * i] = kp
-            b_vec[3 * i + 2] = 1.0
-
-        servo(0, b_front)
-        for i in range(1, m - 1):
-            couple(i, [(3 * (i - 1), 1.0), (3 * i, -2.0), (3 * (i + 1), 1.0)])
-            b_noise[3 * i + 1, i - 1] = kp
-            b_noise[3 * i + 2, i - 1] = 1.0
-        last = m - 1
-        if rear_commanded:
-            servo(last, b_rear)
-        else:
-            couple(last, [(3 * (last - 1), 1.0), (3 * last, -1.0)])
-            # spacing reference enters the tail error with weight -1
-            b_rear[3 * last + 1] = -kp
-            b_rear[3 * last + 2] = -1.0
-            b_noise[3 * last + 1, last - 1] = kp
-            b_noise[3 * last + 2, last - 1] = 1.0
-
+        a, b_front, b_rear, b_noise = _chain_matrix(
+            m, config.kp, config.ki, config.xi, rear_commanded
+        )
         self.a = a
-        trans, w_start, w_mid, w_end = _rk4_maps(a, self.dt)
-        w_zoh = w_start + w_mid + w_end
-        self.trans = trans
-        self.front_zoh = w_zoh @ b_front
-        self.rear_zoh = w_zoh @ b_rear
-        self.noise_zoh = w_zoh @ b_noise
+        h = config.dt
+        trans, w_start, w_mid, w_end = _rk4_maps(a, h)
+        noise_zoh = (w_start + w_mid + w_end) @ b_noise
 
+        n = 3 * m
         self.n_states = n
         self.dim = n + self.AUX
         (self.ramp, self.ramp_slope, self.spacing, self.front_held,
          self.front_fresh, self.rear_held, self.rear_fresh) = range(n, self.dim)
         n_sub = config.substeps
-        h = self.dt
         # RK4 input weights of the start, middle and end samples of a step
         samples = [
             (w @ b_front, w @ b_rear, tau)
@@ -299,18 +298,11 @@ class PlatoonDynamics:
                 sub[:n, self.rear_fresh] += frac * rear
             tick = sub @ tick
             tick_noise = sub @ tick_noise
-            tick_noise[:n] += self.noise_zoh
+            tick_noise[:n] += noise_zoh
         tick[self.front_held] = tick[self.front_fresh]
         tick[self.rear_held] = tick[self.rear_fresh]
         self.tick_map = tick
         self.tick_noise = tick_noise
-
-    def step_vec(self, s, front, rear, noise=None):
-        """One plant step of ``dt`` with ``front`` and ``rear`` held."""
-        out = self.trans @ s + self.front_zoh * front + self.rear_zoh * rear
-        if noise is not None:
-            out += self.noise_zoh @ noise
-        return out
 
     def velocities(self, s, front_u, rear_u):
         """Per-vehicle velocities; commanded ends report their controller
@@ -321,57 +313,6 @@ class PlatoonDynamics:
         if self.rear_commanded:
             v[-1] = kp * (rear_u - s[-3]) + ki * s[-1]
         return v
-
-
-def _states_to_vec(states):
-    s = np.empty(3 * len(states))
-    for i, st in enumerate(states):
-        s[3 * i : 3 * i + 3] = (st.x, st.v, st.z)
-    return s
-
-
-def _vec_to_states(s):
-    return [
-        VehicleState(x=s[i], v=s[i + 1], z=s[i + 2]) for i in range(0, len(s), 3)
-    ]
-
-
-def _check_finite(s):
-    v = s[1::3]
-    if not np.all(np.isfinite(s)) or np.abs(v).max() > VELOCITY_LIMIT:
-        raise NonFiniteState("simulation diverged")
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_dynamics(config, rear_commanded, dt):
-    return PlatoonDynamics(config, rear_commanded, dt=dt)
-
-
-def step(states, config, end_commands, noise_draws, dt):
-    """Advance the platoon one tick of length ``dt``.
-
-    ``end_commands`` is a (front, rear) pair of absolute commanded
-    positions; a rear command of None means the tail regulates spacing,
-    and the spacing reference is then taken from ``config.d_ref0``.
-    ``noise_draws`` perturbs the distance error of vehicles 1..N.
-    """
-    front, rear = end_commands
-    rear_commanded = rear is not None
-    dyn = _cached_dynamics(config, rear_commanded, dt)
-    rear_input = rear if rear_commanded else config.d_ref0
-    noise = None
-    if noise_draws is not None:
-        noise = np.asarray(noise_draws, dtype=float)
-        if noise.shape != (config.n_vehicles - 1,):
-            raise InvalidConfig("need one noise draw per follower vehicle")
-    s = dyn.step_vec(_states_to_vec(states), front, rear_input, noise)
-    _check_finite(s)
-    out = _vec_to_states(s)
-    v = dyn.velocities(s, front, rear_input)
-    out[0].v = v[0]
-    if rear_commanded:
-        out[-1].v = v[-1]
-    return out
 
 
 def inject_noise(rng, variance, count):
@@ -571,7 +512,7 @@ def run_scenario(config, scenario, fir=None):
     dyn = PlatoonDynamics(config, rear_commanded=variant in ("rear", "two_sided"))
     n = dyn.n_states
     z = np.zeros(dyn.dim)
-    z[:n] = _states_to_vec(build_platoon(config))
+    z[:n] = build_platoon(config)
     x_first0 = z[0]
     x_last0 = z[3 * (m - 1)]
 
@@ -596,7 +537,7 @@ def run_scenario(config, scenario, fir=None):
         # under the held command, not under the one about to be applied
         z[dyn.front_held] = x_first0
     if variant in ("rear", "two_sided"):
-        rear_abs = make_rear_absorber(fir, refs.rear_ramp, index=m - 2)
+        rear_abs = make_rear_absorber(fir, refs.rear_ramp)
         channels.append(_Channel(
             rear_abs, absorber_rear_block, dyn.rear_fresh, 3 * (m - 2), m - 2,
             x_last0, z[3 * (m - 2)],
@@ -708,38 +649,18 @@ def run_scenario(config, scenario, fir=None):
 def chain_state_space(kp, ki, xi, n_vehicles):
     """State-space model of the chain driven by the head position.
 
-    The head position is the input (not a dynamic vehicle); followers are
-    bidirectionally coupled except the tail, which regulates spacing to its
-    predecessor. Output is the tail position. Deviation coordinates: all
-    spacing references drop out.
+    The follower block of the spacing-regulated plant: the head position is
+    the input (not a dynamic vehicle), the followers are bidirectionally
+    coupled except the tail, which regulates spacing to its predecessor,
+    and the output is the tail position. Deviation coordinates: all spacing
+    references drop out.
     """
-    n_follow = n_vehicles - 1
-    if n_follow < 1:
+    if n_vehicles < 2:
         raise InvalidConfig("need at least one follower")
-    n = 3 * n_follow
-    a = np.zeros((n, n))
-    b = np.zeros((n, 1))
-
-    def couple(i, error_cols):
-        a[3 * i, 3 * i + 1] = 1.0
-        a[3 * i + 1, 3 * i + 1] = -xi
-        a[3 * i + 1, 3 * i + 2] = ki
-        for col, w in error_cols:
-            a[3 * i + 1, col] += kp * w
-            a[3 * i + 2, col] += w
-
-    for i in range(n_follow):
-        cols = [(3 * i, -2.0 if i < n_follow - 1 else -1.0)]
-        if i > 0:
-            cols.append((3 * (i - 1), 1.0))
-        if i < n_follow - 1:
-            cols.append((3 * (i + 1), 1.0))
-        couple(i, cols)
-    b[1, 0] = kp
-    b[2, 0] = 1.0
-    c = np.zeros((1, n))
-    c[0, 3 * (n_follow - 1)] = 1.0
-    return StateSpace(a, b, c, 0.0)
+    a = _chain_matrix(n_vehicles, kp, ki, xi, rear_commanded=False)[0]
+    c = np.zeros((1, a.shape[0] - 3))
+    c[0, -3] = 1.0
+    return StateSpace(a[3:, 3:], a[3:, :1], c, 0.0)
 
 
 def trace_to_csv(trace, path):

@@ -93,7 +93,6 @@ def sweep(
         try:
             config = PlatoonConfig(
                 n_vehicles=n, kp=kp, ki=ki, xi=xi, dt=dt, fs_ctrl=fs_ctrl,
-                v_ref=v_ref,
             )
             scenario = acceleration_scenario(duration, v_ref, variant, out_every)
             trace = run_scenario(config, scenario, fir=fir)

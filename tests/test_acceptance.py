@@ -74,7 +74,7 @@ def scaling_sweep():
 
 @pytest.fixture(scope="module")
 def noise_grid():
-    config = PlatoonConfig(n_vehicles=20, d_ref0=0.0, v_ref=0.0)
+    config = PlatoonConfig(n_vehicles=20, d_ref0=0.0)
     fir = wave_fir(wave_tf_approx(config.coupling()), config.fs_ctrl, 15.0)
     grid = {}
     for variant in ("none", "front", "rear", "two_sided"):
