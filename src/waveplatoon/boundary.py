@@ -40,7 +40,7 @@ def forced_end_reflection_tf(coupling, approx):
     sign when the command is held.
     """
     g = _approx_tf(approx)
-    return g, tf_mul(g, g) * (-1.0)
+    return g, -tf_mul(g, g)
 
 
 def _shifted_coupling(coupling):
@@ -66,10 +66,6 @@ def free_end_reflection_tf(coupling, approx):
     except ZeroNumerator as exc:
         raise DegenerateDenominator(str(exc)) from exc
     return g, ref_term
-
-
-def _exact_wave(coupling, s):
-    return wave_tf_exact(eval_at(coupling.tf, s))
 
 
 def kappa_front(coupling):
@@ -389,18 +385,17 @@ class ChainModel:
 
 
 class WaveTransferEvaluator:
-    """Pointwise evaluator for a composition of the wave transfer function."""
+    """Evaluator for a composition of the wave transfer function, at one
+    point or over a whole frequency grid."""
 
     def __init__(self, model, formula):
         self.model = model
         self.formula = formula
 
     def _wave_values(self, s_values):
-        alphas = np.array(
-            [eval_at(self.model.coupling.tf, s) for s in s_values], dtype=complex
-        )
+        alphas = eval_at(self.model.coupling.tf, np.asarray(s_values, dtype=complex))
         if self.model.mode == "exact":
-            return np.array([wave_tf_exact(a) for a in alphas])
+            return wave_tf_exact(alphas)
         g = np.ones_like(alphas)
         for _ in range(self.model.iterations):
             g = 1.0 / (alphas - g)

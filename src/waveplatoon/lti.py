@@ -36,6 +36,10 @@ from .errors import (
 CANCEL_TOL = 1e-8
 CANCEL_DEGREE_LIMIT = 40
 
+# Grid points per batched solve in StateSpace.freq_response: whole grids at
+# once would hold len(grid) complex n-by-n matrices.
+SOLVE_CHUNK = 32
+
 
 def _trim(coeffs):
     """Drop trailing coefficients that are exactly zero."""
@@ -164,10 +168,10 @@ class RationalTF:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return tf_add(self, tf_mul(as_tf(other), RationalTF.constant(-1.0)))
+        return tf_add(self, -as_tf(other))
 
     def __rsub__(self, other):
-        return tf_add(as_tf(other), tf_mul(self, RationalTF.constant(-1.0)))
+        return tf_add(as_tf(other), -self)
 
     def __mul__(self, other):
         return tf_mul(self, as_tf(other))
@@ -262,11 +266,14 @@ def tf_inv(a):
 
 
 def eval_at(a, s):
-    """Evaluate ``a`` at a complex point by Horner's scheme."""
+    """Evaluate ``a`` at a complex point, or elementwise over an array of
+    them, by Horner's scheme."""
     dv = a.den(s)
     scale = a.den.magnitude_scale(s)
-    if scale == 0.0 or np.abs(dv) < 1e-12 * scale:
-        raise PoleAtProbe(f"denominator vanishes at s={s}")
+    bad = (scale == 0.0) | (np.abs(dv) < 1e-12 * scale)
+    if np.any(bad):
+        first = np.atleast_1d(s)[np.atleast_1d(bad)][0]
+        raise PoleAtProbe(f"denominator vanishes at s={first}")
     return a.num(s) / dv
 
 
@@ -336,7 +343,12 @@ class StateSpace:
 
     def freq_response(self, omegas):
         omegas = _check_grid(omegas)
-        values = np.array([self.eval_at(1j * w) for w in omegas])
+        s = 1j * omegas[:, None, None]
+        eye = np.eye(self.order)
+        values = np.empty(len(omegas), dtype=complex)
+        for i in range(0, len(s), SOLVE_CHUNK):
+            x = np.linalg.solve(s[i : i + SOLVE_CHUNK] * eye - self.A, self.B)
+            values[i : i + SOLVE_CHUNK] = (self.C @ x)[:, 0, 0] + self.D
         return FrequencyResponse(omegas, values)
 
 
@@ -438,10 +450,4 @@ class FrequencyResponse:
 def freq_response(a, omegas):
     """Evaluate ``a`` along the imaginary axis on the given grid."""
     w = _check_grid(omegas)
-    s = 1j * w
-    dv = a.den(s)
-    scale = a.den.magnitude_scale(s)
-    bad = np.abs(dv) < 1e-12 * scale
-    if np.any(bad):
-        raise PoleAtProbe(f"pole at omega={w[bad][0]}")
-    return FrequencyResponse(w, a.num(s) / dv)
+    return FrequencyResponse(w, eval_at(a, 1j * w))

@@ -5,8 +5,9 @@ An in-platoon vehicle under symmetric bidirectional control obeys
 ``1/(P*C) + 2``. Positional changes travel along the chain as waves; the
 wave transfer function maps one vehicle's wave component to its
 neighbour's. This module evaluates that function exactly (per complex
-probe), approximates it by a rational function via a continued-fraction
-recursion, and samples the approximant into an FIR filter usable online.
+probe or over an array of them), approximates it by a rational function
+via a continued-fraction recursion, and samples the approximant into an
+FIR filter usable online.
 """
 
 from __future__ import annotations
@@ -64,21 +65,21 @@ def coupling_from_gains(kp, ki, xi):
 
 
 def wave_tf_exact(coupling_value):
-    """Downstream wave transfer value for one complex coupling sample.
+    """Downstream wave transfer value for a complex coupling sample, or
+    elementwise over an array of them.
 
     Returns the root of ``G**2 - a*G + 1 = 0`` with magnitude <= 1. When
     both roots sit on the unit circle the one with non-positive imaginary
     part is returned.
     """
-    a = complex(coupling_value)
+    a = np.asarray(coupling_value, dtype=complex)
     sq = np.sqrt(a * a - 4.0)
     # Form the larger-magnitude root first to dodge cancellation, then
     # use the product-of-roots identity for the smaller one.
-    big = (a + sq) / 2.0 if abs(a + sq) >= abs(a - sq) else (a - sq) / 2.0
+    big = np.where(np.abs(a + sq) >= np.abs(a - sq), a + sq, a - sq) / 2.0
     small = 1.0 / big
-    if abs(abs(small) - 1.0) < 1e-9 and small.imag > 0:
-        return big
-    return small
+    tie = (np.abs(np.abs(small) - 1.0) < 1e-9) & (small.imag > 0)
+    return np.where(tie, big, small)[()]
 
 
 def wave_tf_exact_shifted(shift_value):
@@ -101,9 +102,10 @@ def wave_tf_exact_shifted(shift_value):
 
 
 def wave_tf_pair(coupling_value):
-    """Both wave roots (downstream, upstream); their product is 1."""
+    """Both wave roots (downstream, upstream); their product is 1.
+    Elementwise over an array of coupling samples."""
     g = wave_tf_exact(coupling_value)
-    return g, complex(coupling_value) - g
+    return g, np.asarray(coupling_value, dtype=complex) - g
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def wave_tf_approx(coupling, iterations=DEFAULT_ITERATIONS):
         raise ValueError("iterations must be >= 1")
     g = RationalTF.constant(1.0)
     for _ in range(iterations):
-        step = tf_add(coupling.tf, tf_mul(g, RationalTF.constant(-1.0)))
+        step = tf_add(coupling.tf, -g)
         try:
             g = tf_inv(step)
         except ZeroNumerator as exc:
@@ -196,8 +198,7 @@ class PeakGain:
 def peak_wave_gain(coupling, omegas, approx=None):
     """Max |wave transfer| over a jw grid, exact branch plus optional approximant."""
     resp = freq_response(coupling.tf, omegas)
-    exact_vals = np.array([wave_tf_exact(v) for v in resp.values])
-    exact = float(np.max(np.abs(exact_vals)))
+    exact = float(np.max(np.abs(wave_tf_exact(resp.values))))
     amax = None
     if approx is not None:
         amax = float(np.max(np.abs(freq_response(approx.approx, omegas).values)))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from strategies import jw_grids, routh_gains
 
 from waveplatoon.boundary import (
+    CHAIN_VARIANTS,
     AbsorberState,
     ChainModel,
     FirBuffer,
@@ -289,3 +292,22 @@ def test_chain_approx_mode_matches_recursion(nominal):
     g = eval_at(ap.approx, s)
     want = g * (1 + g) / (1 + g**3)
     assert pred.from_front(s) == pytest.approx(want, rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gains=routh_gains(),
+    w=jw_grids(),
+    mode=st.sampled_from(("exact", "approx")),
+    variant=st.sampled_from(CHAIN_VARIANTS),
+    n_vehicles=st.integers(2, 8),
+)
+def test_evaluator_freq_response_matches_points(gains, w, mode, variant, n_vehicles):
+    model = ChainModel(coupling_from_gains(*gains), n_vehicles, mode=mode)
+    pred = chain_tf_prediction(model, variant, n_vehicles // 2)
+    for evaluator in (pred.from_front, pred.from_rear):
+        if evaluator is None:
+            continue
+        got = evaluator.freq_response(w).values
+        want = np.array([evaluator(1j * p) for p in w])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12

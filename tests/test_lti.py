@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from strategies import jw_grids, routh_gains
 
 from waveplatoon.lti import (
+    SOLVE_CHUNK,
     FrequencyResponse,
     Polynomial,
     RationalTF,
@@ -26,6 +29,8 @@ from waveplatoon.errors import (
     UnstablePoles,
     ZeroNumerator,
 )
+from waveplatoon.sim import chain_state_space
+from waveplatoon.wave import coupling_from_gains
 
 
 def tf(num, den):
@@ -83,6 +88,24 @@ def test_eval_at_pole_raises():
     a = tf([1.0], [0.0, 1.0])
     with pytest.raises(PoleAtProbe):
         eval_at(a, 0.0)
+    # an array names its first bad point
+    b = tf([1.0], [1.0, 0.0, 1.0])  # poles at +-j
+    with pytest.raises(PoleAtProbe, match=r"s=1j$"):
+        eval_at(b, 1j * np.array([0.5, 1.0, 2.0, -1.0]))
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gains=routh_gains(), w=jw_grids())
+def test_eval_at_array_matches_points(gains, w):
+    a = coupling_from_gains(*gains).tf
+    s = 1j * w
+    got = eval_at(a, s)
+    assert got.shape == s.shape
+    assert _rel_err(got, np.array([eval_at(a, p) for p in s])) <= 1e-12
 
 
 def test_dc_gain():
@@ -163,6 +186,8 @@ def test_to_state_space_constant():
     ss = to_state_space(tf([3.0], [2.0]))
     assert ss.order == 0
     assert ss.eval_at(1.0j) == pytest.approx(1.5)
+    w = np.logspace(-3, 3, SOLVE_CHUNK + 5)
+    assert np.array_equal(ss.freq_response(w).values, np.full(len(w), 1.5 + 0j))
 
 
 def test_impulse_response_first_order():
@@ -214,6 +239,20 @@ def test_freq_response_pole_on_grid():
     a = tf([1.0], [1.0, 0.0, 1.0])  # poles at +-j
     with pytest.raises(PoleAtProbe):
         freq_response(a, np.array([0.5, 1.0]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gains=routh_gains(),
+    n=st.integers(2, 6),
+    # longer than one batched solve and not a whole number of them
+    w=jw_grids(st.integers(SOLVE_CHUNK + 1, 3 * SOLVE_CHUNK).filter(
+        lambda k: k % SOLVE_CHUNK)),
+)
+def test_state_space_freq_response_matches_eval_at(gains, n, w):
+    ss = chain_state_space(*gains, n)
+    got = ss.freq_response(w).values
+    assert _rel_err(got, np.array([ss.eval_at(1j * p) for p in w])) <= 1e-12
 
 
 def test_state_space_freq_response_matches():

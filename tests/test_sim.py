@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from strategies import routh_gains
 
 from waveplatoon import sim
 
@@ -80,16 +81,6 @@ def test_scenario_validation():
         ScenarioSpec(duration=10.0, out_every=0)
     spec = ScenarioSpec(duration=10.0, events=[(1.0, "set_v_ref", 1.0)])
     assert isinstance(spec.events[0], Event)
-
-
-@st.composite
-def routh_gains(draw):
-    """(kp, ki, xi) with kp, xi in [2, 8], ki in [1, 9] and xi*kp >= 2*ki:
-    the Routh-stable region the benchmark's gain draws cover."""
-    kp = draw(st.floats(2.0, 8.0))
-    xi = draw(st.floats(2.0, 8.0))
-    ki = draw(st.floats(1.0, min(9.0, 0.5 * xi * kp)))
-    return kp, ki, xi
 
 
 def _dynamics(gains, n, rear_commanded, dt=0.01):
