@@ -347,7 +347,10 @@ class StateSpace:
         eye = np.eye(self.order)
         values = np.empty(len(omegas), dtype=complex)
         for i in range(0, len(s), SOLVE_CHUNK):
-            x = np.linalg.solve(s[i : i + SOLVE_CHUNK] * eye - self.A, self.B)
+            m = s[i : i + SOLVE_CHUNK] * eye - self.A
+            # b gets a's stack dimension: numpy < 2 would read a 2-D b as a
+            # stack of vectors
+            x = np.linalg.solve(m, np.broadcast_to(self.B, (len(m),) + self.B.shape))
             values[i : i + SOLVE_CHUNK] = (self.C @ x)[:, 0, 0] + self.D
         return FrequencyResponse(omegas, values)
 

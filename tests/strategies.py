@@ -1,4 +1,7 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and per-point references shared by the test
+modules."""
+
+import cmath
 
 import numpy as np
 from hypothesis import strategies as st
@@ -21,3 +24,19 @@ def jw_grids(draw, sizes=st.integers(1, 100)):
     lo = draw(st.floats(-3.0, 2.0))
     hi = draw(st.floats(lo + 1.0, 3.0))
     return np.logspace(lo, hi, draw(sizes))
+
+
+def rel_err(got, want):
+    """Largest elementwise relative error of ``got`` against ``want``."""
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def root_reference(a):
+    """Per-point downstream wave root of ``G**2 - a*G + 1 = 0`` in plain
+    complex arithmetic: the larger root first, then 1/big, and the big root
+    where both sit on the unit circle and the small one has positive
+    imaginary part."""
+    sq = cmath.sqrt(a * a - 4.0)
+    big = (a + sq) / 2.0 if abs(a + sq) >= abs(a - sq) else (a - sq) / 2.0
+    small = 1.0 / big
+    return big if abs(abs(small) - 1.0) < 1e-9 and small.imag > 0 else small

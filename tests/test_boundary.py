@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from strategies import jw_grids, routh_gains
+from strategies import jw_grids, rel_err, root_reference, routh_gains
 
 from waveplatoon.boundary import (
     CHAIN_VARIANTS,
@@ -305,9 +305,22 @@ def test_chain_approx_mode_matches_recursion(nominal):
 def test_evaluator_freq_response_matches_points(gains, w, mode, variant, n_vehicles):
     model = ChainModel(coupling_from_gains(*gains), n_vehicles, mode=mode)
     pred = chain_tf_prediction(model, variant, n_vehicles // 2)
+    # per-point wave values built without the evaluator's array code: the
+    # plain-complex root, or the scalar recursion g <- 1/(alpha - g)
+    waves = []
+    for p in w:
+        alpha = complex(eval_at(model.coupling.tf, 1j * p))
+        if mode == "exact":
+            waves.append(root_reference(alpha))
+            continue
+        g = 1.0 + 0.0j
+        for _ in range(model.iterations):
+            g = 1.0 / (alpha - g)
+        waves.append(g)
     for evaluator in (pred.from_front, pred.from_rear):
         if evaluator is None:
             continue
         got = evaluator.freq_response(w).values
-        want = np.array([evaluator(1j * p) for p in w])
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        want = np.array([complex(evaluator.formula(g)) for g in waves])
+        assert rel_err(got, want) <= 1e-12
+        assert rel_err(np.array([evaluator(1j * p) for p in w]), want) <= 1e-12

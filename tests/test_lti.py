@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from strategies import jw_grids, routh_gains
+from strategies import jw_grids, rel_err, routh_gains
 
 from waveplatoon.lti import (
     SOLVE_CHUNK,
@@ -94,10 +94,6 @@ def test_eval_at_pole_raises():
         eval_at(b, 1j * np.array([0.5, 1.0, 2.0, -1.0]))
 
 
-def _rel_err(got, want):
-    return float(np.max(np.abs(got - want) / np.abs(want)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(gains=routh_gains(), w=jw_grids())
 def test_eval_at_array_matches_points(gains, w):
@@ -105,7 +101,7 @@ def test_eval_at_array_matches_points(gains, w):
     s = 1j * w
     got = eval_at(a, s)
     assert got.shape == s.shape
-    assert _rel_err(got, np.array([eval_at(a, p) for p in s])) <= 1e-12
+    assert rel_err(got, np.array([eval_at(a, p) for p in s])) <= 1e-12
 
 
 def test_dc_gain():
@@ -252,7 +248,7 @@ def test_freq_response_pole_on_grid():
 def test_state_space_freq_response_matches_eval_at(gains, n, w):
     ss = chain_state_space(*gains, n)
     got = ss.freq_response(w).values
-    assert _rel_err(got, np.array([ss.eval_at(1j * p) for p in w])) <= 1e-12
+    assert rel_err(got, np.array([ss.eval_at(1j * p) for p in w])) <= 1e-12
 
 
 def test_state_space_freq_response_matches():

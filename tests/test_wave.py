@@ -1,9 +1,8 @@
-import cmath
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from strategies import jw_grids, routh_gains
+from strategies import jw_grids, rel_err, root_reference, routh_gains
 
 from waveplatoon.boundary import ChainModel, WaveTransferEvaluator
 from waveplatoon.lti import eval_at, freq_response
@@ -102,20 +101,6 @@ def test_exact_wave_tf_real_axis():
         assert 0.0 < g.real < 1.0
 
 
-def _root_reference(a):
-    """Per-point downstream root: the larger root first, then 1/big, and
-    the big root where both sit on the unit circle and the small one has
-    positive imaginary part."""
-    sq = cmath.sqrt(a * a - 4.0)
-    big = (a + sq) / 2.0 if abs(a + sq) >= abs(a - sq) else (a - sq) / 2.0
-    small = 1.0 / big
-    return big if abs(abs(small) - 1.0) < 1e-9 and small.imag > 0 else small
-
-
-def _rel_err(got, want):
-    return float(np.max(np.abs(got - want) / np.abs(want)))
-
-
 # coupling samples on the jw axis of a Routh-stable coupling, plus real
 # samples inside (-2, 2), where both roots lie on the unit circle
 @st.composite
@@ -132,20 +117,15 @@ def test_wave_tf_exact_array_matches_points(samples):
     alphas, on_circle = samples
     got = wave_tf_exact(alphas)
     assert got.shape == alphas.shape
-    for point_form in (wave_tf_exact, lambda a: _root_reference(complex(a))):
-        assert _rel_err(got, np.array([point_form(a) for a in alphas])) <= 1e-12
+    for point_form in (wave_tf_exact, lambda a: root_reference(complex(a))):
+        assert rel_err(got, np.array([point_form(a) for a in alphas])) <= 1e-12
     # the unit-circle tie-break keeps the root with non-positive imaginary part
     assert np.all(got[-on_circle:].imag <= 0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(samples=coupling_samples())
-def test_wave_tf_pair_array_matches_points(samples):
-    alphas, _ = samples
+    # the pair is the same root and its reciprocal, the upstream root
+    want = np.array([root_reference(complex(a)) for a in alphas])
     g1, g2 = wave_tf_pair(alphas)
-    points = [wave_tf_pair(a) for a in alphas]
-    assert _rel_err(g1, np.array([p[0] for p in points])) <= 1e-12
-    assert _rel_err(g2, np.array([p[1] for p in points])) <= 1e-12
+    assert rel_err(g1, want) <= 1e-12
+    assert rel_err(g2, 1.0 / want) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -162,7 +142,7 @@ def test_approx_matches_defining_recursion(gains):
             ChainModel(coupling, 2, mode="approx", iterations=depth), lambda g: g
         )
         got = freq_response(wave_tf_approx(coupling, depth).approx, w).values
-        assert _rel_err(got, recursion.freq_response(w).values) <= bound
+        assert rel_err(got, recursion.freq_response(w).values) <= bound
 
 
 def test_wave_tf_pair():
