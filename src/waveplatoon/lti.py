@@ -25,17 +25,6 @@ from .errors import (
     ZeroNumerator,
 )
 
-# Relative threshold below which a low-order coefficient is treated as a
-# cancellation residue when locating the valuation at s=0 (dc_gain). Storage
-# itself only trims exact zeros: coefficient magnitudes legitimately span
-# many orders (constant terms of chain polynomials grow like 4^l while the
-# monic lead stays 1), so any magnitude-based storage trim would corrupt
-# degrees.
-
-# Relative tolerance for pole/zero cancellation by root matching.
-CANCEL_TOL = 1e-8
-CANCEL_DEGREE_LIMIT = 40
-
 # Grid points per batched solve in StateSpace.freq_response: whole grids at
 # once would hold len(grid) complex n-by-n matrices.
 SOLVE_CHUNK = 32
@@ -67,14 +56,6 @@ class Polynomial:
             raise ValueError("coefficients must be finite")
         self.coeffs = _trim(c)
 
-    @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        """Build ``leading * prod(s - r)``, taking the real part of the expansion."""
-        if len(roots) == 0:
-            return cls([leading])
-        c = np.atleast_1d(np.poly(np.asarray(roots)))[::-1]
-        return cls(np.real(c) * leading)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -87,13 +68,8 @@ class Polynomial:
         return npp.polyval(s, self.coeffs)
 
     def magnitude_scale(self, s):
-        """Sum of |c_k|*|s|^k, the natural scale for cancellation tests at s."""
+        """Sum of |c_k|*|s|^k, the scale against which p(s) counts as zero."""
         return npp.polyval(np.abs(s), np.abs(self.coeffs))
-
-    def derivative(self):
-        if self.degree == 0:
-            return Polynomial([0.0])
-        return Polynomial(npp.polyder(self.coeffs))
 
     def roots(self):
         if self.degree < 1:
@@ -159,9 +135,6 @@ class RationalTF:
     def poles(self):
         return self.den.roots()
 
-    def zeros(self):
-        return self.num.roots()
-
     def __add__(self, other):
         return tf_add(self, as_tf(other))
 
@@ -203,58 +176,17 @@ def as_tf(x):
     return RationalTF.constant(x)
 
 
-def _match_and_cancel(num_roots, den_roots, tol):
-    """Remove pairwise-matching roots; returns the surviving root lists."""
-    den_left = list(den_roots)
-    num_left = []
-    for rn in num_roots:
-        hit = None
-        best = np.inf
-        for i, rd in enumerate(den_left):
-            d = abs(rn - rd)
-            if d < best:
-                best, hit = d, i
-        if hit is not None and best <= tol * max(1.0, abs(rn)):
-            den_left.pop(hit)
-        else:
-            num_left.append(rn)
-    return num_left, den_left
-
-
-def cancel_common_factors(a, tol=CANCEL_TOL):
-    """Cancel matching pole/zero pairs of ``a`` (roots via companion eigenvalues)."""
-    if a.num.is_zero:
-        return RationalTF([0.0], [1.0])
-    if a.num.degree == 0 or a.den.degree == 0:
-        return a
-    num_left, den_left = _match_and_cancel(a.num.roots(), a.den.roots(), tol)
-    if len(num_left) == a.num.degree:
-        return a
-    num = Polynomial.from_roots(num_left, leading=a.num.coeffs[-1])
-    den = Polynomial.from_roots(den_left, leading=a.den.coeffs[-1])
-    return RationalTF(num, den)
-
-
-def _reduced(a):
-    # root matching degrades on large clustered root sets and can cancel
-    # pairs that are merely close; keep high-degree results unreduced
-    if a.num.degree + a.den.degree > CANCEL_DEGREE_LIMIT:
-        return a
-    return cancel_common_factors(a)
-
-
 def tf_add(a, b):
-    """Sum of two rational functions with common-factor reduction."""
+    """Sum of two rational functions over the product of their denominators;
+    common factors are left in place."""
     a, b = as_tf(a), as_tf(b)
-    num = a.num * b.den + b.num * a.den
-    den = a.den * b.den
-    return _reduced(RationalTF(num, den))
+    return RationalTF(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
 def tf_mul(a, b):
-    """Product of two rational functions, normalized and reduced."""
+    """Product of two rational functions, normalized to a monic denominator."""
     a, b = as_tf(a), as_tf(b)
-    return _reduced(RationalTF(a.num * b.num, a.den * b.den))
+    return RationalTF(a.num * b.num, a.den * b.den)
 
 
 def tf_inv(a):

@@ -75,14 +75,12 @@ def test_free_end_reference_term_pointwise(nominal):
 
 
 def test_absorption_null(nominal):
-    # an absorber commanding G*incoming cancels the reflection exactly;
-    # the approximant version is probed where it has converged (the
-    # band below ~0.5 rad/s carries its documented resonance error)
+    # an absorber commanding G_L*incoming leaves a small reflection where
+    # the approximant has converged (the band below ~0.5 rad/s carries its
+    # documented resonance error)
     c, ap = nominal
     for s in (1.0j, 2.0j, 1.0 + 0.5j, 5.0):
         g = wave_tf_exact(eval_at(c.tf, s))
-        residual = g * g - g * g
-        assert abs(residual) < 1e-9
         g_l = eval_at(ap.approx, s)
         assert abs(g * g_l - g * g) < 2e-2
 

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import routh_gains
 
 from waveplatoon.errors import EmptyTrace, InvalidConfig
 from waveplatoon.metrics import (
@@ -13,6 +17,10 @@ from waveplatoon.metrics import (
 from waveplatoon.sim import NoiseSpec, PlatoonConfig, ScenarioSpec, SimulationTrace, run_scenario
 from waveplatoon.sweep import acceleration_scenario, sweep, sweep_duration
 from waveplatoon.verify import SUITES, verify
+from waveplatoon.wave import CouplingRatio, coupling_from_gains, wave_tf_exact
+from waveplatoon.lti import eval_at
+
+VERIFY = sys.modules["waveplatoon.verify"]
 
 
 def make_trace(t, positions, velocities, variant="none"):
@@ -223,6 +231,34 @@ PINNED_CHECKS = (
 def test_verify_check_list_is_pinned():
     checks = verify().checks
     assert tuple((c.suite, c.name) for c in checks) == PINNED_CHECKS
+
+
+PROBES = np.array([1.0j, 2.0j, 5.0j, 1.0 + 0.5j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(gains=routh_gains())
+def test_absorbing_end_law_holds_and_can_fail(gains):
+    # the chain built from the plant's state matrix follows x_n = G**n when
+    # its tail is held at G times its last follower; a G taken from a
+    # coupling 0.1% off that chain must fail the 1e-9 check
+    alpha = eval_at(coupling_from_gains(*gains).tf, PROBES)
+    exact = VERIFY._absorbing_end_error(*gains, PROBES, wave_tf_exact(alpha))
+    assert exact <= 1e-12
+    off = VERIFY._absorbing_end_error(*gains, PROBES, wave_tf_exact(1.001 * alpha))
+    assert off >= 1e-5
+
+
+def test_verify_reflection_null_fails_on_wrong_coupling(monkeypatch):
+    def off_coupling(kp, ki, xi):
+        c = coupling_from_gains(kp, ki, xi)
+        return CouplingRatio(c.tf * 1.001, c.plant, c.controller)
+
+    monkeypatch.setattr(VERIFY, "coupling_from_gains", off_coupling)
+    checks = {c.name: c for c in verify("absorption").checks}
+    null = checks["exact reflection null"]
+    assert not null.passed
+    assert null.measured > 1e-4
 
 
 def test_verify_subset_and_unknown():

@@ -10,7 +10,6 @@ from waveplatoon.lti import (
     RationalTF,
     StateSpace,
     as_tf,
-    cancel_common_factors,
     dc_gain,
     eval_at,
     freq_response,
@@ -42,8 +41,6 @@ def test_polynomial_basics():
     assert p.degree == 2
     assert p(2.0) == 1.0 + 4.0 + 12.0
     assert p(0.0) == 1.0
-    q = p.derivative()
-    assert np.allclose(q.coeffs, [2.0, 6.0])
 
 
 def test_polynomial_trims_exact_zeros_only():
@@ -52,12 +49,6 @@ def test_polynomial_trims_exact_zeros_only():
     # tiny leading coefficients are data, not noise
     q = Polynomial([1e12, 0.0, 1.0])
     assert q.degree == 2
-
-
-def test_polynomial_from_roots():
-    p = Polynomial.from_roots([-1.0, -2.0])
-    assert np.allclose(p.coeffs, [2.0, 3.0, 1.0])
-    assert np.allclose(sorted(p.roots().real), [-2.0, -1.0])
 
 
 def test_polynomial_arithmetic():
@@ -113,24 +104,46 @@ def test_dc_gain():
         dc_gain(tf([1.0], [0.0, 1.0]))
 
 
-def test_tf_arithmetic_cancels_common_factors():
-    a = tf([1.0, 1.0], [2.0, 3.0, 1.0])  # (s+1)/((s+1)(s+2))
-    b = cancel_common_factors(a)
-    assert b.num.degree == 0
-    assert b.den.degree == 1
-    s = 1.7j
-    assert eval_at(b, s) == pytest.approx(eval_at(a, s))
+def factors(draw, max_degree, sign):
+    """Product of real and complex-pair root factors, of degree at most
+    ``max_degree``, with root real parts of magnitude in [0.1, 10] and
+    imaginary parts at most 5 times that, so no root sits near the jw
+    axis. ``sign`` fixes the real parts' sign, or leaves it free if None."""
+    p = Polynomial([1.0])
+    while p.degree < max_degree and draw(st.booleans()):
+        re = draw(st.floats(0.1, 10.0)) * (sign or draw(st.sampled_from((-1, 1))))
+        if p.degree + 2 > max_degree or draw(st.booleans()):
+            p = p * Polynomial([-re, 1.0])
+        else:
+            im = draw(st.floats(0.0, 5.0)) * re
+            p = p * Polynomial([re * re + im * im, -2.0 * re, 1.0])
+    return p
 
 
-def test_tf_add_mul_inv():
-    a = tf([1.0], [1.0, 1.0])
-    b = tf([1.0], [2.0, 1.0])
-    c = tf_add(a, b)
-    s = 0.3 + 1.1j
-    assert eval_at(c, s) == pytest.approx(eval_at(a, s) + eval_at(b, s))
-    d = tf_mul(a, b)
-    assert eval_at(d, s) == pytest.approx(eval_at(a, s) * eval_at(b, s))
-    assert eval_at(tf_inv(a), s) == pytest.approx(1.0 / eval_at(a, s))
+@st.composite
+def stable_rationals(draw):
+    """Proper rational functions with real coefficients, poles in the open
+    left half-plane and zeros anywhere off the jw axis, with a gain of
+    magnitude in [0.1, 10]."""
+    den = Polynomial([draw(st.floats(0.1, 10.0)), 1.0]) * factors(draw, 5, -1)
+    num = factors(draw, den.degree, None)
+    gain = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return tf((num * gain).coeffs, den.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=stable_rationals(), b=stable_rationals(), w=jw_grids())
+def test_tf_add_mul_inv(a, b, w):
+    s = 1j * w
+    av, bv = eval_at(a, s), eval_at(b, s)
+    # a sum is measured against its terms' size: a + b may cancel to ~0
+    assert np.max(np.abs(eval_at(tf_add(a, b), s) - (av + bv))
+                  / (np.abs(av) + np.abs(bv))) <= 1e-12
+    assert rel_err(eval_at(tf_mul(a, b), s), av * bv) <= 1e-12
+    assert rel_err(eval_at(tf_inv(a), s), 1.0 / av) <= 1e-12
+
+
+def test_tf_inv_rejects_zero():
     with pytest.raises(ZeroNumerator):
         tf_inv(tf([0.0], [1.0, 1.0]))
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from strategies import jw_grids, rel_err, root_reference, routh_gains
 
 from waveplatoon.boundary import ChainModel, WaveTransferEvaluator
-from waveplatoon.lti import eval_at, freq_response
+from waveplatoon.lti import dc_gain, eval_at, freq_response
 from waveplatoon.verify import APPROX_GRID
 from waveplatoon.wave import (
     DEFAULT_FIR_RATE,
@@ -160,15 +160,15 @@ def test_approx_first_iterations():
     assert a2(1.0) == pytest.approx(0.497608, abs=1e-6)
 
 
-def test_approx_degrees_and_dc():
-    from waveplatoon.lti import dc_gain
-
-    c = nominal()
-    for l in (1, 5, 20):
-        ap = wave_tf_approx(c, iterations=l)
-        assert ap.approx.num.degree == 3 * l - 2
-        assert ap.approx.den.degree == 3 * l
-        assert dc_gain(ap.approx) == pytest.approx(1.0, abs=1e-9)
+@settings(max_examples=60, deadline=None)
+@given(gains=routh_gains(), depth=st.integers(1, 20))
+def test_approx_degrees_and_dc(gains, depth):
+    # the depth-L chain transfer has degree exactly (3L-2, 3L): no pole/zero
+    # pair cancels, so the recursion needs no reduction
+    ap = wave_tf_approx(coupling_from_gains(*gains), iterations=depth).approx
+    assert ap.num.degree == 3 * depth - 2
+    assert ap.den.degree == 3 * depth
+    assert abs(dc_gain(ap) - 1.0) <= 1e-9
 
 
 def test_approx_matches_scalar_recursion():
@@ -196,6 +196,8 @@ def test_approx_stable_poles():
 
 def test_approx_degree_overflow():
     c = nominal()
+    deepest = wave_tf_approx(c, iterations=MAX_APPROX_DEGREE // 3)
+    assert deepest.approx.den.degree == 3 * (MAX_APPROX_DEGREE // 3)
     with pytest.raises(DegreeOverflow):
         wave_tf_approx(c, iterations=(MAX_APPROX_DEGREE // 3) + 1)
 
