@@ -24,7 +24,6 @@ from .wave import (  # noqa: F401
     coupling_from_gains,
     friction_plant,
     make_coupling,
-    peak_wave_gain,
     pi_controller,
     wave_fir,
     wave_tf_approx,
@@ -35,13 +34,10 @@ from .boundary import (  # noqa: F401
     AbsorberState,
     ChainModel,
     ChainPrediction,
-    GainReport,
     Ramp,
     absorber_front_step,
     absorber_rear_step,
     chain_tf_prediction,
-    forced_end_reflection_tf,
-    free_end_reflection_tf,
     kappa_front,
     kappa_rear,
     make_front_absorber,

@@ -1,8 +1,8 @@
 """End-vehicle boundary behavior for platoon position waves.
 
-Reflection transfer functions at commanded and spacing-regulated ends,
-online wave absorbers, and the gain bookkeeping that turns velocity and
-spacing targets into end-vehicle ramp commands.
+Online wave absorbers, the end gains and ramp slopes that turn velocity
+and spacing targets into end-vehicle ramp commands, and wave-model
+transfer functions of whole chains.
 """
 
 import numpy as np
@@ -14,33 +14,16 @@ from .errors import (
     InvalidConfig,
     NonMonotonicTime,
     SampleRateMismatch,
-    ZeroNumerator,
 )
-from .lti import FrequencyResponse, _check_grid, eval_at, origin_limit, tf_add, tf_inv, tf_mul
+from .lti import FrequencyResponse, _check_grid, eval_at, origin_limit, tf_add
 from .wave import (
     DEFAULT_ITERATIONS,
-    WaveApprox,
     WaveFIR,
     wave_tf_exact,
     wave_tf_exact_shifted,
 )
 
 SQUARED_FIR_TAIL_LIMIT = 0.01
-
-
-def _approx_tf(approx):
-    return approx.approx if isinstance(approx, WaveApprox) else approx
-
-
-def forced_end_reflection_tf(coupling, approx):
-    """Transfer pair at a position-commanded end vehicle.
-
-    Returns (command term, incoming-wave term): the outgoing wave equals
-    G*command - G^2*incoming, so an incoming wave reflects with opposite
-    sign when the command is held.
-    """
-    g = _approx_tf(approx)
-    return g, -tf_mul(g, g)
 
 
 def _shifted_coupling(coupling):
@@ -50,22 +33,6 @@ def _shifted_coupling(coupling):
     if shifted.num.is_zero:
         raise DegenerateDenominator("coupling ratio is identically 2")
     return shifted
-
-
-def free_end_reflection_tf(coupling, approx):
-    """Transfer pair at a spacing-regulated end vehicle.
-
-    Returns (incoming-wave term, spacing-reference term): the outgoing wave
-    equals G*incoming + (G-1)/(alpha-2)*d_ref, a same-sign reflection plus
-    reference forcing.
-    """
-    g = _approx_tf(approx)
-    shifted = _shifted_coupling(coupling)
-    try:
-        ref_term = tf_mul(tf_add(g, -1.0), tf_inv(shifted))
-    except ZeroNumerator as exc:
-        raise DegenerateDenominator(str(exc)) from exc
-    return g, ref_term
 
 
 def kappa_front(coupling):
@@ -85,14 +52,10 @@ def kappa_front(coupling):
     return origin_limit(path)
 
 
-def kappa_rear(coupling, diagnostics=False):
+def kappa_rear(coupling):
     """Steady spacing change per unit of sustained head velocity at a
-    spacing-regulated tail, as the static gain of (1 - G)/s.
-
-    With ``diagnostics`` the numeric limit is returned together with the
-    two closed forms it may be compared against: sqrt(xi/k_i) and k_i/xi
-    (equal when k_i = xi). Gains are read off the coupling's plant and
-    controller when their shapes allow it.
+    spacing-regulated tail, as the static gain of (1 - G)/s; sqrt(xi/ki)
+    for the friction plant with PI control.
     """
     shifted = _shifted_coupling(coupling)
 
@@ -100,33 +63,11 @@ def kappa_rear(coupling, diagnostics=False):
         g = wave_tf_exact_shifted(eval_at(shifted, s))
         return (1.0 - g) / s
 
-    value = origin_limit(path)
-    if not diagnostics:
-        return value
-    forms = {"numeric": value, "sqrt_ratio": None, "gain_ratio": None}
-    try:
-        ki = coupling.controller.num.coeffs[0]
-        xi = coupling.plant.den.coeffs[1]
-        if ki > 0 and xi > 0:
-            forms["sqrt_ratio"] = float(np.sqrt(xi / ki))
-            forms["gain_ratio"] = float(ki / xi)
-    except (AttributeError, IndexError):
-        pass
-    return value, forms
-
-
-@dataclass(frozen=True)
-class GainReport:
-    """End-vehicle gains and the ramp slopes derived from them."""
-
-    kappa_front: float
-    kappa_rear: float
-    w0: float
-    wr: float
+    return origin_limit(path)
 
 
 def ramp_slopes(v_ref, d_ref, kappa_front, kappa_rear):
-    """Ramp slopes for the two command ends.
+    """Ramp slopes ``(w0, wr)`` for the two command ends.
 
     The head command ramps at w0 = (v_ref - kappa_front*d_ref)/2 and the
     tail command at wr = (v_ref - kappa_rear*d_ref)/2; v_ref and d_ref are
@@ -134,7 +75,7 @@ def ramp_slopes(v_ref, d_ref, kappa_front, kappa_rear):
     """
     w0 = 0.5 * (v_ref - kappa_front * d_ref)
     wr = 0.5 * (v_ref - kappa_rear * d_ref)
-    return GainReport(kappa_front, kappa_rear, w0, wr)
+    return w0, wr
 
 
 @dataclass(frozen=True)
@@ -196,15 +137,6 @@ class FirBuffer:
         return self._buf[start : self._end]
 
 
-class WaveComponents:
-    """Latest forward (``a``) and backward (``b``) wave samples of one
-    vehicle; None before the first step."""
-
-    def __init__(self):
-        self.a = None
-        self.b = None
-
-
 def squared_fir(fir):
     """FIR of the squared wave transfer: self-convolved taps, truncated back
     to the original length. The discarded tail must carry less than
@@ -235,7 +167,6 @@ class AbsorberState:
         self.fir = fir
         self.fir_squared = fir_squared
         self.ramp = ramp
-        self.own_wave = WaveComponents()
         self.last_t = None
         m = len(fir.taps)
         self._samples = FirBuffer(m)
@@ -295,8 +226,8 @@ def _lookback(state, count):
 # commands and the offset added to each measured sample: with the block's
 # samples ``y = measured + offset``, the commands are ``known + T @ y``,
 # where ``T`` is the lower-triangular Toeplitz matrix of the wave FIR.
-# ``absorber_commit`` then records the block's samples and commands. The
-# per-tick steps are the one-tick case.
+# ``absorber_commit`` then records the block's samples. The per-tick steps
+# are the one-tick case.
 
 
 def absorber_front_block(state, t, count):
@@ -309,7 +240,6 @@ def absorber_front_block(state, t, count):
     if state.fir_squared is None:
         raise InvalidConfig("head absorber requires the squared FIR")
     sent, echo = _sent_block(state, t, count)
-    state.own_wave.a = sent[-1]
     return sent - echo + _lookback(state, count), np.zeros(count)
 
 
@@ -321,25 +251,19 @@ def absorber_rear_block(state, t, count):
     that sample propagated one vehicle down.
     """
     sent, echo = _sent_block(state, t, count)
-    state.own_wave.b = echo[-1]
     return sent + _lookback(state, count), -echo
 
 
-def absorber_commit(state, samples, commands):
-    """Record a block's samples (measured plus offset) and the commands
-    they produced; the last of each sets the wave components."""
+def absorber_commit(state, samples):
+    """Record a block's samples (measured plus offset)."""
     state._samples.extend(samples)
-    if state.fir_squared is None:
-        state.own_wave.a = samples[-1]
-    else:
-        state.own_wave.b = commands[-1] - state.own_wave.a
 
 
 def _absorber_step(block, state, measured, t):
     known, offset = block(state, t, 1)
     sample = measured + offset[0]
     command = known[0] + state.fir.taps[0] * sample
-    absorber_commit(state, (sample,), (command,))
+    absorber_commit(state, (sample,))
     return command
 
 
@@ -363,7 +287,7 @@ def absorber_rear_step(state, x_prev_sample, t):
     return _absorber_step(absorber_rear_block, state, x_prev_sample, t)
 
 
-CHAIN_VARIANTS = ("none", "front", "rear", "two_sided")
+VARIANTS = ("none", "front", "rear", "two_sided")
 
 
 @dataclass(frozen=True)
@@ -431,7 +355,7 @@ def chain_tf_prediction(config, variant, n):
     last = model.n_vehicles - 1
     if not 0 <= n <= last:
         raise IndexOutOfRange(f"vehicle {n} outside 0..{last}")
-    if variant not in CHAIN_VARIANTS:
+    if variant not in VARIANTS:
         raise InvalidConfig(f"unknown variant {variant!r}")
     back = 2 * last + 1
 

@@ -25,7 +25,7 @@ from .sim import (
     run_scenario,
     trace_to_csv,
 )
-from .sweep import acceleration_scenario, sweep
+from .sweep import sweep
 from .verify import SUITES, verify
 from .wave import coupling_from_gains, wave_fir, wave_tf_approx
 
@@ -157,7 +157,7 @@ def _cmd_approx(args):
     _emit({
         "iterations": v["l"],
         "taps": len(fir.taps),
-        "tap_sum": float(np.sum(fir.taps)),
+        "tap_sum": fir.dc,
         "files": ["wave_taps.csv", "wave_bode.csv"],
     })
     return 0

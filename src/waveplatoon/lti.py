@@ -1,6 +1,6 @@
 """Rational transfer-function algebra, realization and discretization.
 
-Everything downstream (wave approximants, reflection laws, the platoon
+Everything downstream (wave approximants, wave absorbers, the platoon
 simulator) is built on the small set of carriers defined here:
 real-coefficient :class:`Polynomial`, :class:`RationalTF` in the Laplace
 variable, controllable-canonical :class:`StateSpace` realizations, and
@@ -134,28 +134,6 @@ class RationalTF:
 
     def poles(self):
         return self.den.roots()
-
-    def __add__(self, other):
-        return tf_add(self, as_tf(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return tf_add(self, -as_tf(other))
-
-    def __rsub__(self, other):
-        return tf_add(as_tf(other), -self)
-
-    def __mul__(self, other):
-        return tf_mul(self, as_tf(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return tf_mul(self, tf_inv(as_tf(other)))
-
-    def __rtruediv__(self, other):
-        return tf_mul(as_tf(other), tf_inv(self))
 
     def __neg__(self):
         return RationalTF(-self.num, self.den)
@@ -312,36 +290,39 @@ def to_state_space(a):
     return StateSpace(A, B, c.reshape(1, n), float(d))
 
 
-def _stability_check(poles, allow_marginal):
+def _stability_check(poles):
     if len(poles) == 0:
         return
     scale = max(1.0, float(np.max(np.abs(poles))))
     re = poles.real
     if np.any(re > 1e-9 * scale):
         raise UnstablePoles(f"pole(s) in the right half-plane: {poles[re > 0]}")
-    if not allow_marginal and np.any(re > -1e-9 * scale):
-        raise UnstablePoles(
-            "pole(s) on the imaginary axis; pass allow_marginal=True to accept"
-        )
+    if np.any(re > -1e-9 * scale):
+        raise UnstablePoles("pole(s) on the imaginary axis")
 
 
-def impulse_response(a, fs, T, allow_marginal=False):
+def sample_count(fs, T):
+    """Number of samples at times k/fs, k = 0..floor(T*fs), in a span of
+    ``T`` seconds; a span within 1e-9 samples of a whole count takes it."""
+    return int(np.floor(T * fs + 1e-9)) + 1
+
+
+def impulse_response(a, fs, T):
     """Samples of the continuous impulse response at times k/fs, k=0..floor(T*fs).
 
     The response is produced by exact zero-order discretization of the
     companion realization: the matrix exponential of A/fs is applied
-    recursively to the input vector. ``a`` must be strictly proper;
-    poles must lie in the open left half-plane unless ``allow_marginal``
-    admits poles on the imaginary axis.
+    recursively to the input vector. ``a`` must be strictly proper, with
+    its poles in the open left half-plane.
     """
     if fs <= 0 or T <= 0:
         raise ValueError("fs and T must be positive")
     if not a.is_strictly_proper:
         raise ImproperTF("impulse sampling requires a strictly proper function")
-    count = int(np.floor(T * fs + 1e-9)) + 1
+    count = sample_count(fs, T)
     if a.num.is_zero:
         return np.zeros(count)
-    _stability_check(a.poles(), allow_marginal)
+    _stability_check(a.poles())
     ss = to_state_space(a)
     M = expm(ss.A / fs)
     x = ss.B.ravel().copy()
@@ -372,14 +353,6 @@ class FrequencyResponse:
     def __post_init__(self):
         if len(self.omegas) != len(self.values):
             raise ValueError("omegas and values must have equal length")
-
-    @property
-    def magnitude(self):
-        return np.abs(self.values)
-
-    @property
-    def phase_rad(self):
-        return np.unwrap(np.angle(self.values))
 
 
 def freq_response(a, omegas):

@@ -43,20 +43,11 @@ def _require_samples(trace):
         raise EmptyTrace("trace has no samples")
 
 
-def _reference_series(v_ref, t):
-    if callable(v_ref):
-        return np.array([float(v_ref(ti)) for ti in t])
-    return np.full(len(t), float(v_ref))
-
-
 def mse_velocity(trace, v_ref):
-    """Mean squared velocity error, averaged over vehicles and samples.
-
-    ``v_ref`` is a constant or a callable schedule of time.
-    """
+    """Mean squared velocity error against the constant ``v_ref``,
+    averaged over vehicles and samples."""
     _require_samples(trace)
-    ref = _reference_series(v_ref, trace.t)
-    return float(((trace.velocities - ref[:, None]) ** 2).mean())
+    return float(((trace.velocities - float(v_ref)) ** 2).mean())
 
 
 def settling_time(trace, v_ref, band=SETTLING_BAND):

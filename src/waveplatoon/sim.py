@@ -33,6 +33,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .boundary import (  # noqa: F401  (the per-tick steps stay importable here)
+    VARIANTS,
     Ramp,
     absorber_commit,
     absorber_front_block,
@@ -54,7 +55,6 @@ from .wave import (
     wave_tf_approx,
 )
 
-VARIANTS = ("none", "front", "rear", "two_sided")
 VELOCITY_LIMIT = 1e6
 EVENT_KINDS = ("set_v_ref", "set_d_ref")
 
@@ -351,12 +351,10 @@ class _ReferenceTracker:
             self.d_target = event.value
         v_dev = self.v_target
         d_dev = self.d_target - self.config.d_ref0
-        gains = ramp_slopes(v_dev, d_dev, self.k_front, self.k_rear)
-        front_slope = (
-            gains.w0 if self.variant in ("front", "two_sided") else v_dev
-        )
+        w0, wr = ramp_slopes(v_dev, d_dev, self.k_front, self.k_rear)
+        front_slope = w0 if self.variant in ("front", "two_sided") else v_dev
         self.front_ramp = self.front_ramp.continued(front_slope, t)
-        self.rear_ramp = self.rear_ramp.continued(gains.wr, t)
+        self.rear_ramp = self.rear_ramp.continued(wr, t)
 
 
 # the block maps hold stride * dim**2 floats of powers of the tick map plus
@@ -483,11 +481,13 @@ def _block_stride(out_every, dim, rows, cols):
     return stride
 
 
-def _event_tick(time, ctrl_dt):
-    """First control tick k with ``time <= k*ctrl_dt + 1e-12``."""
-    k = max(int(time / ctrl_dt) - 1, 0)
-    while time > k * ctrl_dt + 1e-12:
-        k += 1
+def _event_tick(time, fs_ctrl):
+    """Control tick of an event; its time must lie on the control grid."""
+    k = round(time * fs_ctrl)
+    if abs(time * fs_ctrl - k) > 1e-9:
+        raise InvalidConfig(
+            f"event time {time} is not on the {fs_ctrl:g} Hz control grid"
+        )
     return k
 
 
@@ -497,7 +497,8 @@ def run_scenario(config, scenario, fir=None):
     The plant advances at ``config.dt``; absorbers and noise update at the
     control rate ``config.fs_ctrl``; end commands slew linearly from the
     held to the fresh value over each control tick. The trace is sampled
-    every ``scenario.out_every`` control ticks.
+    every ``scenario.out_every`` control ticks. Event times must lie on the
+    control grid.
 
     The run advances in blocks that end at output samples, event ticks and
     the end of the run. Within a block the absorbers' commands are linear
@@ -571,7 +572,7 @@ def run_scenario(config, scenario, fir=None):
     row = 0
 
     events = list(scenario.events)
-    event_ticks = [_event_tick(e.time, ctrl_dt) for e in events]
+    event_ticks = [_event_tick(e.time, config.fs_ctrl) for e in events]
     next_event = 0
     k = 0
     while True:
@@ -634,7 +635,7 @@ def run_scenario(config, scenario, fir=None):
         ):
             raise NonFiniteState("simulation diverged")
         for i, ch in enumerate(channels):
-            absorber_commit(ch.state, out[:, i], commands[:, i] - ch.command0)
+            absorber_commit(ch.state, out[:, i])
         k = boundary
 
     return SimulationTrace(

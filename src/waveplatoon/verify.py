@@ -10,7 +10,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .boundary import ChainModel, chain_tf_prediction, kappa_front, kappa_rear
-from .lti import eval_at, freq_response
+from .lti import eval_at, freq_response, sample_count
 from .sim import _chain_matrix, chain_state_space
 from .wave import (
     DEFAULT_FIR_SPAN,
@@ -249,15 +249,14 @@ def _suite_end_gains(ctx):
 
 def _suite_fir(ctx):
     fir = ctx["fir"]()
-    dc = float(np.sum(fir.taps))
     lead = abs(fir.taps[0]) / np.abs(fir.taps).max()
     return [
-        _bounded("fir", "tap sum near unity", abs(dc - 1.0), 0.02),
+        _bounded("fir", "tap sum near unity", abs(fir.dc - 1.0), 0.02),
         _bounded("fir", "leading tap negligible", lead, 1e-4),
         CheckResult(
             "fir",
             "tap count matches span",
-            len(fir.taps) == int(round(fir.span * fir.fs)) + 1,
+            len(fir.taps) == sample_count(fir.fs, fir.span),
             float(len(fir.taps)),
         ),
     ]

@@ -10,14 +10,12 @@ via a continued-fraction recursion, and samples the approximant into an
 FIR filter usable online.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegreeOverflow, ZeroNumerator, DegenerateDenominator
-from .lti import RationalTF, freq_response, impulse_response, tf_add, tf_inv, tf_mul
+from .lti import RationalTF, impulse_response, sample_count, tf_add, tf_inv, tf_mul
 
 # Denominator-degree cap for the continued-fraction recursion. At depth L
 # the degree is at most L times the coupling's numerator degree (exactly 3L
@@ -171,7 +169,7 @@ class WaveFIR:
     span: float
 
     def __post_init__(self):
-        expect = int(np.floor(self.span * self.fs + 1e-9)) + 1
+        expect = sample_count(self.fs, self.span)
         if len(self.taps) != expect:
             raise ValueError(f"expected {expect} taps, got {len(self.taps)}")
 
@@ -179,30 +177,8 @@ class WaveFIR:
     def dc(self):
         return float(np.sum(self.taps))
 
-    def step_response(self):
-        return np.cumsum(self.taps)
-
 
 def wave_fir(approx, fs=DEFAULT_FIR_RATE, span=DEFAULT_FIR_SPAN):
     """Sample the approximant's impulse response into FIR taps."""
     h = impulse_response(approx.approx, fs, span)
     return WaveFIR(taps=h / fs, fs=float(fs), span=float(span))
-
-
-@dataclass(frozen=True)
-class PeakGain:
-    """Grid maxima of the wave transfer magnitude."""
-
-    exact: float
-    approx: float | None
-    omegas: np.ndarray
-
-
-def peak_wave_gain(coupling, omegas, approx=None):
-    """Max |wave transfer| over a jw grid, exact branch plus optional approximant."""
-    resp = freq_response(coupling.tf, omegas)
-    exact = float(np.max(np.abs(wave_tf_exact(resp.values))))
-    amax = None
-    if approx is not None:
-        amax = float(np.max(np.abs(freq_response(approx.approx, omegas).values)))
-    return PeakGain(exact=exact, approx=amax, omegas=resp.omegas)

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from strategies import jw_grids, rel_err, root_reference, routh_gains
 
 from waveplatoon.boundary import (
-    CHAIN_VARIANTS,
+    VARIANTS,
     AbsorberState,
     ChainModel,
     FirBuffer,
-    GainReport,
     Ramp,
     absorber_front_step,
     absorber_rear_step,
     chain_tf_prediction,
-    forced_end_reflection_tf,
-    free_end_reflection_tf,
     kappa_front,
     kappa_rear,
     make_front_absorber,
@@ -28,7 +25,7 @@ from waveplatoon.errors import (
     NonMonotonicTime,
     SampleRateMismatch,
 )
-from waveplatoon.lti import dc_gain, eval_at
+from waveplatoon.lti import eval_at
 from waveplatoon.wave import (
     coupling_from_gains,
     wave_fir,
@@ -48,30 +45,6 @@ def nominal():
 def nominal_fir(nominal):
     _, ap = nominal
     return wave_fir(ap, 100.0, 15.0)
-
-
-def test_forced_end_values(nominal):
-    c, ap = nominal
-    cmd_term, wave_term = forced_end_reflection_tf(c, ap)
-    assert eval_at(cmd_term, 1.0) == pytest.approx(0.46241, abs=1e-5)
-    assert eval_at(wave_term, 1.0) == pytest.approx(-0.21382, abs=1e-5)
-
-
-def test_reflection_sign_conventions(nominal):
-    # commanded end flips the wave sign, spacing-regulated end keeps it
-    c, ap = nominal
-    _, wave_term = forced_end_reflection_tf(c, ap)
-    assert dc_gain(wave_term) == pytest.approx(-1.0, abs=1e-3)
-    a_term, _ = free_end_reflection_tf(c, ap)
-    assert dc_gain(a_term) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_free_end_reference_term_pointwise(nominal):
-    c, ap = nominal
-    _, ref_term = free_end_reflection_tf(c, ap)
-    for s in (1.0, 0.5j, 2.0 + 1.0j):
-        direct = (eval_at(ap.approx, s) - 1.0) / (eval_at(c.tf, s) - 2.0)
-        assert eval_at(ref_term, s) == pytest.approx(direct, rel=1e-6)
 
 
 def test_absorption_null(nominal):
@@ -99,18 +72,17 @@ def test_kappa_rear_values():
     assert kappa_rear(coupling_from_gains(4.0, 4.0, 4.0)) == pytest.approx(
         1.0, abs=1e-3
     )
-    value, forms = kappa_rear(coupling_from_gains(4.0, 1.0, 4.0), diagnostics=True)
-    assert value == pytest.approx(2.0, abs=1e-2)
-    assert forms["sqrt_ratio"] == pytest.approx(2.0)
-    assert forms["gain_ratio"] == pytest.approx(0.25)
+    # sqrt(xi/ki) = 2
+    assert kappa_rear(coupling_from_gains(4.0, 1.0, 4.0)) == pytest.approx(
+        2.0, abs=1e-2
+    )
 
 
 def test_ramp_slopes():
-    r = ramp_slopes(1.0, 1.0, kappa_front=-1.0, kappa_rear=1.0)
-    assert isinstance(r, GainReport)
-    assert r.w0 == pytest.approx(1.0)
-    assert r.wr == pytest.approx(0.0)
-    assert ramp_slopes(1.0, 0.0, -1.0, 1.0).w0 == pytest.approx(0.5)
+    w0, wr = ramp_slopes(1.0, 1.0, kappa_front=-1.0, kappa_rear=1.0)
+    assert w0 == pytest.approx(1.0)
+    assert wr == pytest.approx(0.0)
+    assert ramp_slopes(1.0, 0.0, -1.0, 1.0) == pytest.approx((0.5, 0.5))
 
 
 def test_ramp_piecewise():
@@ -191,9 +163,7 @@ def test_squared_fir_tail_guard():
 def test_front_absorber_quiet(nominal_fir):
     state = make_front_absorber(nominal_fir, Ramp(0.0))
     assert absorber_front_step(state, 0.0, 0.0) == 0.0
-    assert (state.own_wave.a, state.own_wave.b) == (0.0, 0.0)
     assert absorber_front_step(state, 0.0, 0.01) == 0.0
-    assert (state.own_wave.a, state.own_wave.b) == (0.0, 0.0)
 
 
 def test_front_absorber_initial_slope(nominal_fir):
@@ -206,29 +176,9 @@ def test_front_absorber_initial_slope(nominal_fir):
     assert v[5] == pytest.approx(0.5, abs=1e-3)
 
 
-def test_front_absorber_consistency(nominal_fir):
-    # position command always equals the sum of the two wave components
-    rng = np.random.default_rng(4)
-    state = make_front_absorber(nominal_fir, Ramp(0.3))
-    dt = 1.0 / nominal_fir.fs
-    for k in range(60):
-        cmd = absorber_front_step(state, rng.normal(scale=0.01), k * dt)
-        assert cmd == pytest.approx(state.own_wave.a + state.own_wave.b)
-
-
 def test_rear_absorber_quiet(nominal_fir):
     state = make_rear_absorber(nominal_fir, Ramp(0.0))
     assert absorber_rear_step(state, 0.0, 0.0) == 0.0
-
-
-def test_rear_absorber_components_sum_to_neighbor(nominal_fir):
-    rng = np.random.default_rng(8)
-    state = make_rear_absorber(nominal_fir, Ramp(0.2))
-    dt = 1.0 / nominal_fir.fs
-    for k in range(60):
-        x_prev = rng.normal(scale=0.01)
-        absorber_rear_step(state, x_prev, k * dt)
-        assert state.own_wave.a + state.own_wave.b == pytest.approx(x_prev)
 
 
 def test_absorber_time_guards(nominal_fir):
@@ -297,8 +247,14 @@ def test_chain_approx_mode_matches_recursion(nominal):
     gains=routh_gains(),
     w=jw_grids(),
     mode=st.sampled_from(("exact", "approx")),
-    variant=st.sampled_from(CHAIN_VARIANTS),
+    variant=st.sampled_from(VARIANTS),
     n_vehicles=st.integers(2, 8),
+)
+# near s = 0 the rear formula 1 - g**2 cancels, so roundoff in g grows
+# there; the bound applies to the wave values, the formula is pinned exactly
+@example(
+    gains=(3.0, 3.0, 2.5), w=np.array([10**-2.5]), mode="exact",
+    variant="rear", n_vehicles=2,
 )
 def test_evaluator_freq_response_matches_points(gains, w, mode, variant, n_vehicles):
     model = ChainModel(coupling_from_gains(*gains), n_vehicles, mode=mode)
@@ -315,10 +271,15 @@ def test_evaluator_freq_response_matches_points(gains, w, mode, variant, n_vehic
         for _ in range(model.iterations):
             g = 1.0 / (alpha - g)
         waves.append(g)
+    waves = np.array(waves)
+    wave_values = pred.from_front._wave_values
+    g = wave_values(1j * w)
+    assert rel_err(g, waves) <= 1e-12
+    points = np.array([wave_values([1j * p])[0] for p in w])
+    assert rel_err(points, waves) <= 1e-12
     for evaluator in (pred.from_front, pred.from_rear):
         if evaluator is None:
             continue
-        got = evaluator.freq_response(w).values
-        want = np.array([complex(evaluator.formula(g)) for g in waves])
-        assert rel_err(got, want) <= 1e-12
-        assert rel_err(np.array([evaluator(1j * p) for p in w]), want) <= 1e-12
+        assert np.array_equal(evaluator.freq_response(w).values, evaluator.formula(g))
+        for p, gp in zip(w, points):
+            assert evaluator(1j * p) == complex(evaluator.formula(gp))

@@ -18,7 +18,7 @@ from waveplatoon.sim import NoiseSpec, PlatoonConfig, ScenarioSpec, SimulationTr
 from waveplatoon.sweep import acceleration_scenario, sweep, sweep_duration
 from waveplatoon.verify import SUITES, verify
 from waveplatoon.wave import CouplingRatio, coupling_from_gains, wave_tf_exact
-from waveplatoon.lti import eval_at
+from waveplatoon.lti import eval_at, tf_mul
 
 VERIFY = sys.modules["waveplatoon.verify"]
 
@@ -49,13 +49,6 @@ def test_mse_velocity_hand_average():
     v = np.column_stack([np.zeros(5), np.ones(5)])
     trace = make_trace(t, np.zeros((5, 2)), v)
     assert mse_velocity(trace, 1.0) == pytest.approx(0.5)
-
-
-def test_mse_velocity_schedule_callable():
-    t = np.linspace(0, 1, 11)
-    v = np.outer(t, np.ones(2))
-    trace = make_trace(t, np.zeros((11, 2)), v)
-    assert mse_velocity(trace, lambda ti: ti) == 0.0
 
 
 def test_mse_velocity_vehicle_permutation_invariant():
@@ -252,7 +245,7 @@ def test_absorbing_end_law_holds_and_can_fail(gains):
 def test_verify_reflection_null_fails_on_wrong_coupling(monkeypatch):
     def off_coupling(kp, ki, xi):
         c = coupling_from_gains(kp, ki, xi)
-        return CouplingRatio(c.tf * 1.001, c.plant, c.controller)
+        return CouplingRatio(tf_mul(c.tf, 1.001), c.plant, c.controller)
 
     monkeypatch.setattr(VERIFY, "coupling_from_gains", off_coupling)
     checks = {c.name: c for c in verify("absorption").checks}
@@ -281,6 +274,13 @@ def test_verify_flags_short_approximant():
     report = verify(("approximation", "chain_oracle"), iterations=2)
     assert not report.passed
     assert all(not c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("span", (15.007, 12.506))
+def test_verify_fir_tap_count_follows_the_fir(span):
+    # spans a fraction of a sample past a whole count keep that count
+    checks = verify("fir", span=span).checks
+    assert [c.passed for c in checks] == [True, True, True]
 
 
 def test_verify_report_dict():

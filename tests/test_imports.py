@@ -1,0 +1,51 @@
+"""Every import in the package is used by the module that makes it.
+
+No linter is a dependency, so this walks each module's syntax tree: a name
+bound by an import must appear as a name somewhere else in the module.
+Re-exports are marked ``# noqa: F401`` on the import's first line.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "waveplatoon"
+
+
+def unused_imports(source):
+    """Names that ``source`` imports and never uses, in import order."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = (
+        "import os\n"
+        "import numpy as np\n"
+        "from .a import b, c  # noqa: F401\n"
+        "from .d import (\n"
+        "    e,\n"
+        "    f,\n"
+        ")\n"
+        "np.zeros(f)\n"
+    )
+    assert unused_imports(source) == ["os", "e"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_package_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -429,6 +429,13 @@ def test_absorber_fir_rate_must_match_control_rate():
         run_scenario(PlatoonConfig(n_vehicles=3), spec, fir=half_rate)
 
 
+def test_off_grid_event_time_rejected():
+    # 0.005 s falls between two 100 Hz control ticks
+    spec = ScenarioSpec(duration=1.0, events=((0.005, "set_v_ref", 1.0),))
+    with pytest.raises(InvalidConfig, match="0.005"):
+        run_scenario(PlatoonConfig(n_vehicles=3), spec)
+
+
 def test_unstable_gains_raise_when_decimated(nominal_fir):
     # the absorbers run on the nominal FIR: unstable gains have no
     # approximant to build one from
