@@ -59,11 +59,23 @@ _SECTION_KEYS = {
     "sweep": ("n_list", "variants"),
 }
 
-_TYPES = {
-    "kp": float, "ki": float, "xi": float, "n": int, "l": int, "fs": float,
-    "truncate": float, "dt": float, "seed": int, "variant": str,
-    "duration": float, "v_ref": float, "sigma2": float,
-    "n_list": str, "variants": str, "out_every": int,
+_HELP = {
+    "kp": "proportional gain",
+    "ki": "integral gain",
+    "xi": "friction coefficient",
+    "n": "number of vehicles",
+    "l": "approximant iteration depth",
+    "fs": "controller sample rate, Hz",
+    "truncate": "FIR span, seconds",
+    "dt": "integration step, seconds",
+    "seed": "noise seed",
+    "variant": "end strategy: none front rear two_sided",
+    "duration": "run length, seconds",
+    "v_ref": "velocity reference",
+    "sigma2": "noise variance",
+    "n_list": "comma-separated platoon sizes",
+    "variants": "comma-separated end strategies",
+    "out_every": "trace decimation, control ticks",
 }
 
 
@@ -83,7 +95,7 @@ def load_config(path):
             )
         for key in keys:
             if parser.has_option(section, key):
-                values[key] = _TYPES[key](parser.get(section, key))
+                values[key] = type(DEFAULTS[key])(parser.get(section, key))
     return values
 
 
@@ -102,27 +114,12 @@ def _resolve(args, keys, overrides=None):
 
 
 def _add_common(p, keys):
-    spec = {
-        "kp": dict(type=float, help="proportional gain"),
-        "ki": dict(type=float, help="integral gain"),
-        "xi": dict(type=float, help="friction coefficient"),
-        "n": dict(type=int, help="number of vehicles"),
-        "l": dict(type=int, help="approximant iteration depth"),
-        "fs": dict(type=float, help="controller sample rate, Hz"),
-        "truncate": dict(type=float, help="FIR span, seconds"),
-        "dt": dict(type=float, help="integration step, seconds"),
-        "seed": dict(type=int, help="noise seed"),
-        "variant": dict(type=str, help="end strategy: none front rear two_sided"),
-        "duration": dict(type=float, help="run length, seconds"),
-        "v_ref": dict(type=float, help="velocity reference"),
-        "sigma2": dict(type=float, help="noise variance"),
-        "n_list": dict(type=str, help="comma-separated platoon sizes"),
-        "variants": dict(type=str, help="comma-separated end strategies"),
-        "out_every": dict(type=int, help="trace decimation, control ticks"),
-    }
     p.add_argument("--config", type=str, help="INI config file")
     for key in keys:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, **spec[key])
+        p.add_argument(
+            f"--{key.replace('_', '-')}", dest=key, type=type(DEFAULTS[key]),
+            help=_HELP[key],
+        )
     p.add_argument("--out", type=str, help="output path")
 
 

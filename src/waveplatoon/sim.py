@@ -23,8 +23,9 @@ they measure, so the FIR feedback within a block is a unit lower-triangular
 linear system, solved once per run into precomputed maps. One product with
 them gives every tick's samples, commands and velocities and the state at
 the block's end; the absorbers' FIR histories enter as known terms.
-Without absorbers the maps reduce to powers of the tick map. Every tick's
-velocities are checked against ``VELOCITY_LIMIT``.
+Without absorbers the maps reduce to powers of the tick map. Velocities
+are one linear readout of the augmented state, shared by the trace and
+the check of every tick against ``VELOCITY_LIMIT``.
 """
 
 from typing import NamedTuple
@@ -32,14 +33,14 @@ from typing import NamedTuple
 import numpy as np
 from dataclasses import dataclass
 
-from .boundary import (  # noqa: F401  (the per-tick steps stay importable here)
+# the per-tick steps stay importable here
+from .boundary import absorber_front_step, absorber_rear_step  # noqa: F401
+from .boundary import (
     VARIANTS,
     Ramp,
     absorber_commit,
     absorber_front_block,
-    absorber_front_step,
     absorber_rear_block,
-    absorber_rear_step,
     kappa_front,
     kappa_rear,
     make_front_absorber,
@@ -236,9 +237,8 @@ class PlatoonDynamics:
     always does; the tail does when ``rear_commanded``, otherwise it
     regulates spacing to the reference input. A commanded end positions
     itself through the PI controller acting on its position error, so its
-    velocity is the controller output rather than a separate state; the
-    unused velocity slot stays zero and the true velocity is computed on
-    demand.
+    velocity is the controller output rather than a separate state, and
+    its velocity slot stays zero.
 
     ``a`` is the plant's state matrix from ``_chain_matrix``. ``tick_map``
     advances one control tick (``config.substeps`` RK4 steps of
@@ -252,7 +252,9 @@ class PlatoonDynamics:
     time ``tau`` into the tick, so the RK4 start, middle and end samples
     are exact. The map moves ``u`` along its slope and hands each fresh
     command over to the held slot. ``tick_noise`` adds one tick's distance
-    noise draws to ``z``.
+    noise draws to ``z``. ``velocity_rows`` maps ``z`` at the start of a
+    tick to every vehicle's velocity ``dx/dt``: the velocity slot of a
+    follower, the controller output of a commanded end.
     """
 
     AUX = 7  # augmented slots after the plant states
@@ -303,16 +305,13 @@ class PlatoonDynamics:
         tick[self.rear_held] = tick[self.rear_fresh]
         self.tick_map = tick
         self.tick_noise = tick_noise
-
-    def velocities(self, s, front_u, rear_u):
-        """Per-vehicle velocities; commanded ends report their controller
-        output since their velocity slot is not a state."""
-        kp, ki = self.config.kp, self.config.ki
-        v = s[1::3].copy()
-        v[0] = kp * (front_u - s[0]) + ki * s[2]
-        if self.rear_commanded:
-            v[-1] = kp * (rear_u - s[-3]) + ki * s[-1]
-        return v
+        # dx/dt at the start of a tick, where each end input is its ramp or
+        # spacing slot plus its held command
+        vel = np.zeros((m, self.dim))
+        vel[:, :n] = a[0::3]
+        vel[:, [self.ramp, self.front_held]] = b_front[0::3, None]
+        vel[:, [self.spacing, self.rear_held]] = b_rear[0::3, None]
+        self.velocity_rows = vel
 
 
 def inject_noise(rng, variance, count):
@@ -357,9 +356,9 @@ class _ReferenceTracker:
         self.rear_ramp = self.rear_ramp.continued(wr, t)
 
 
-# the block maps hold stride * dim**2 floats of powers of the tick map plus
-# the per-tick rows and input blocks; the stride is capped so that they stay
-# under this many floats (32 MB)
+# the block maps hold each tick's rows and state map over every input of a
+# stride; the stride is capped so that they stay under this many floats
+# (32 MB)
 JUMP_MAP_FLOATS = 1 << 22
 
 
@@ -392,14 +391,13 @@ class _BlockMaps:
     the block, ``y`` are the block's samples (the measured state entry plus
     a known ``offset``) and ``T`` is the lower-triangular Toeplitz matrix of
     the FIR ``taps``. So every tick's samples, commands and the velocities
-    after it, and the state at the block's end, are linear in
+    after it, and the state after every tick, are linear in
     ``x = [z0, (w_0, kappa_0, offset_0), (w_1, kappa_1, offset_1), ...]``.
-    ``full`` holds that map for a whole stride, built once by forward
-    substitution (the unit lower-triangular solve of the feedback). The
-    per-tick rows are causal, so a shorter ``j``-tick block uses their
-    leading ``j`` row and column blocks; its end state is ``A**j z0`` plus
-    the trailing ``j`` blocks of ``inputs = [A**(stride-1) [N G 0], ...,
-    [N G 0]]`` applied to ``x`` with the commands in place of ``kappa``.
+    Forward substitution (the unit lower-triangular solve of the feedback)
+    builds these maps once: ``ends[i]`` gives ``z`` after ``i + 1`` ticks,
+    and ``full`` stacks a whole stride's per-tick rows over its end state.
+    The maps are causal, so a shorter ``j``-tick block uses the leading
+    ``j`` row and column blocks of ``full`` and of ``ends[j - 1]``.
     Without absorbers there are no commands and the rows are just the
     velocities.
     """
@@ -415,19 +413,13 @@ class _BlockMaps:
         fresh = [ch.fresh for ch in channels]
         a = dyn.tick_map.copy()
         a[:, fresh] = 0.0
-        inputs = np.hstack(
-            [dyn.tick_noise[:, :k], dyn.tick_map[:, fresh], np.zeros((dim, c))]
-        )
-        self.powers = [np.eye(dim)]  # A**j for the shorter blocks
-        for _ in range(stride - 1):
-            self.powers.append(a @ self.powers[-1])
-        self.inputs = np.hstack([p @ inputs for p in self.powers[stride - 1 :: -1]])
+        inputs = np.hstack([dyn.tick_noise[:, :k], dyn.tick_map[:, fresh]])
 
         h = np.zeros(stride)
         h[: min(stride, len(taps))] = taps[:stride]
         cols = dim + stride * q
-        coef = np.zeros((dim, cols))  # z after i ticks as a map of x
-        coef[:, :dim] = np.eye(dim)
+        coef = np.eye(dim, cols)  # z after i ticks as a map of x
+        self.ends = np.empty((stride, dim, cols))
         samples = np.zeros((stride, c, cols))
         rows = np.zeros((stride, r, cols))
         sample_rows = [ch.row for ch in channels]
@@ -440,10 +432,11 @@ class _BlockMaps:
                     samples[i, ci, w + ch.noise] += 1.0
             u = np.tensordot(h[i::-1], samples[: i + 1], axes=1)
             u[range(c), range(w + k, w + k + c)] += 1.0
-            coef = a @ coef + inputs[:, : k + c] @ np.vstack([np.eye(k, cols, w), u])
+            coef = a @ coef + inputs @ np.vstack([np.eye(k, cols, w), u])
+            self.ends[i] = coef
             rows[i, :c] = samples[i]
             rows[i, c : 2 * c] = u
-            rows[i, 2 * c :] = coef[1 : dyn.n_states : 3]
+            rows[i, 2 * c :] = dyn.velocity_rows @ coef
         self.full = np.vstack([rows.reshape(stride * r, cols), coef])
 
     def step(self, z, j, noise, kappa, offset):
@@ -461,19 +454,16 @@ class _BlockMaps:
         if j == self.stride:
             out = self.full @ x
             return out[: j * r].reshape(j, r), out[j * r :]
-        out = (self.full[: j * r, : dim + j * q] @ x).reshape(j, r)
-        end = self.powers[j] @ z
-        if q:
-            ticks[:, k : k + c] = out[:, c : 2 * c]
-            end += self.inputs[:, (self.stride - j) * q :] @ x[dim:]
-        return out, end
+        cols = dim + j * q
+        out = (self.full[: j * r, :cols] @ x).reshape(j, r)
+        return out, self.ends[j - 1, :, :cols] @ x
 
 
 def _block_stride(out_every, dim, rows, cols):
     """Largest stride up to ``out_every`` whose maps fit JUMP_MAP_FLOATS."""
 
     def floats(b):
-        return b * dim * dim + b * (rows + dim) * (dim + b * cols)
+        return (b * (rows + dim) + dim) * (dim + b * cols)
 
     stride = max(min(out_every, JUMP_MAP_FLOATS // (dim * dim)), 1)
     while stride > 1 and floats(stride) > JUMP_MAP_FLOATS:
@@ -482,9 +472,10 @@ def _block_stride(out_every, dim, rows, cols):
 
 
 def _event_tick(time, fs_ctrl):
-    """Control tick of an event; its time must lie on the control grid."""
+    """Control tick of an event; its time must lie on the control grid, up
+    to the roundoff of ``time * fs_ctrl`` (a few ulps of the tick count)."""
     k = round(time * fs_ctrl)
-    if abs(time * fs_ctrl - k) > 1e-9:
+    if abs(time * fs_ctrl - k) > max(1e-9, 4 * np.finfo(float).eps * abs(k)):
         raise InvalidConfig(
             f"event time {time} is not on the {fs_ctrl:g} Hz control grid"
         )
@@ -505,8 +496,9 @@ def run_scenario(config, scenario, fir=None):
     in the samples they measure, so one product with precomputed maps
     gives every tick's samples, commands and velocities and the state at
     the block's end (a block cut short by an event or the run's end takes
-    the end state from a second product). Each block draws its noise in
-    one call, and the divergence guard sees every tick.
+    the leading part of the same maps). Each block draws its noise in one
+    call, and the divergence guard sees every vehicle's velocity at every
+    tick.
     """
     m = config.n_vehicles
     variant = scenario.variant
@@ -595,8 +587,7 @@ def run_scenario(config, scenario, fir=None):
             noise = inject_noise(rng, sigma2, (j, m - 1))
 
         if front_abs is None:
-            front_val = x_first0 + refs.front_ramp(t)
-            z[dyn.ramp] = front_val
+            z[dyn.ramp] = x_first0 + refs.front_ramp(t)
             z[dyn.ramp_slope] = refs.front_ramp.slope
         if rear_abs is None:
             z[dyn.spacing] = refs.d_target
@@ -612,16 +603,10 @@ def run_scenario(config, scenario, fir=None):
         commands = out[:, c : 2 * c]
 
         if k % out_every == 0:
-            if front_abs is not None:
-                front_val = commands[0, 0]
             t_out[row] = t
             x_out[row] = z[0:n:3]
-            v_out[row] = dyn.velocities(
-                z[:n],
-                z[dyn.front_held] if front_abs is not None else front_val,
-                z[dyn.rear_held] if rear_abs is not None else 0.0,
-            )
-            c_out[row, 0] = front_val
+            v_out[row] = dyn.velocity_rows @ z
+            c_out[row, 0] = z[dyn.ramp] if front_abs is None else commands[0, 0]
             if rear_abs is not None:
                 c_out[row, 1] = commands[0, -1]
             row += 1

@@ -10,7 +10,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .boundary import ChainModel, chain_tf_prediction, kappa_front, kappa_rear
-from .lti import eval_at, freq_response, sample_count
+from .lti import eval_at, freq_response
 from .sim import _chain_matrix, chain_state_space
 from .wave import (
     DEFAULT_FIR_SPAN,
@@ -250,13 +250,17 @@ def _suite_end_gains(ctx):
 def _suite_fir(ctx):
     fir = ctx["fir"]()
     lead = abs(fir.taps[0]) / np.abs(fir.taps).max()
+    # sample times k/fs within the span (to 1e-9 samples), counted
+    # independently of the tap-count rule up to one past the taps
+    times = np.arange(len(fir.taps) + 1) / fir.fs
+    in_span = int(np.count_nonzero(times <= fir.span + 1e-9 / fir.fs))
     return [
         _bounded("fir", "tap sum near unity", abs(fir.dc - 1.0), 0.02),
         _bounded("fir", "leading tap negligible", lead, 1e-4),
         CheckResult(
             "fir",
             "tap count matches span",
-            len(fir.taps) == sample_count(fir.fs, fir.span),
+            len(fir.taps) == in_span,
             float(len(fir.taps)),
         ),
     ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import routh_gains
 
+from waveplatoon import lti, wave
 from waveplatoon.errors import EmptyTrace, InvalidConfig
 from waveplatoon.metrics import (
     MetricsReport,
@@ -281,6 +282,20 @@ def test_verify_fir_tap_count_follows_the_fir(span):
     # spans a fraction of a sample past a whole count keep that count
     checks = verify("fir", span=span).checks
     assert [c.passed for c in checks] == [True, True, True]
+
+
+def test_verify_fir_tap_count_can_fail(monkeypatch):
+    # one tap too many, as a wrong tap-count rule shared by the FIR and its
+    # impulse sampling would give; the rule is replaced in verify too, so
+    # the check has to count the samples on its own
+    def one_more(fs, span):
+        return int(np.floor(span * fs + 1e-9)) + 2
+
+    for module in (lti, wave, VERIFY):
+        monkeypatch.setattr(module, "sample_count", one_more, raising=False)
+    checks = verify("fir").checks
+    assert checks[2].name == "tap count matches span"
+    assert [c.passed for c in checks] == [True, True, False]
 
 
 def test_verify_report_dict():

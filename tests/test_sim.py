@@ -168,6 +168,41 @@ def test_tick_map_matches_matrix_exponential(gains, n, rear_commanded, seed):
     assert np.abs(moved - expm(dyn.a * dt) @ delta).max() < 1e-9
 
 
+def _velocity_formula(dyn, z):
+    """Velocities at the start of a tick from the plant's equations: a
+    follower's velocity slot, and a commanded end's PI output
+    ``kp*(u - x) + ki*z`` under its input ``u``, the ramp or spacing slot
+    plus the held command."""
+    kp, ki = dyn.config.kp, dyn.config.ki
+    s = z[: dyn.n_states]
+    v = s[1::3].copy()
+    v[0] = kp * (z[dyn.ramp] + z[dyn.front_held] - s[0]) + ki * s[2]
+    if dyn.rear_commanded:
+        u = z[dyn.spacing] + z[dyn.rear_held]
+        v[-1] = kp * (u - s[-3]) + ki * s[-1]
+    return v
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gains=routh_gains(),
+    n=st.integers(2, 12),
+    rear_commanded=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_velocity_rows_match_formula(gains, n, rear_commanded, seed):
+    dyn = _dynamics(gains, n, rear_commanded)
+    z = np.random.default_rng(seed).normal(scale=10.0, size=dyn.dim)
+    got = dyn.velocity_rows @ z
+    want = _velocity_formula(dyn, z)
+    ends = [0, n - 1] if rear_commanded else [0]
+    followers = np.setdiff1d(np.arange(n), ends)
+    assert np.array_equal(got[followers], want[followers])
+    # each end sums four terms, kp times three entries of z and ki times one
+    scale = np.abs(z).max() * (3 * gains[0] + gains[1])
+    assert np.abs(got[ends] - want[ends]).max() <= 1e-14 * scale
+
+
 @settings(max_examples=40, deadline=None)
 @given(gains=routh_gains())
 def test_wave_gain_bounded_on_jw_axis(gains):
@@ -322,10 +357,7 @@ def _per_tick_reference(config, spec, fir):
         else:
             z[dyn.spacing] = refs.d_target
         if k % spec.out_every == 0:
-            v_front = z[dyn.front_held] if front is not None else cmd[0]
-            v_rear = z[dyn.rear_held] if rear is not None else 0.0
-            v = dyn.velocities(z[:n], v_front, v_rear)
-            rows.append((t, z[0:n:3].copy(), v, cmd))
+            rows.append((t, z[0:n:3].copy(), _velocity_formula(dyn, z), cmd))
         z = dyn.tick_map @ z + dyn.tick_noise @ w
     t, x, v, c = (np.array(col) for col in zip(*rows))
     return sim.SimulationTrace(t, x, v, c, variant)
@@ -394,23 +426,20 @@ _GUARD_NOISE = ((None, "None"), (NoiseSpec(variance=0.2, seed=4), "noise1"))
     for noise, label in _GUARD_NOISE
 ])
 def test_guard_sees_ticks_between_samples(monkeypatch, nominal_fir, variant, noise):
-    # the guard passes a limit just above the peak follower speed over all
-    # ticks and trips on one between that peak and the peak at the sampled
-    # ticks: only a guard that evaluates every tick exactly does both. A
-    # commanded tail has no velocity state; its speed is its controller
-    # output, which the guard does not see. Absorbers speed the platoon up
-    # without overshoot, so their runs end off the output grid: without
-    # noise the peak then falls in the unsampled last ticks.
+    # the guard passes a limit just above the peak speed of any vehicle over
+    # all ticks and trips on one between that peak and the peak at the
+    # sampled ticks: only a guard that evaluates every tick exactly does
+    # both. Absorbers speed the platoon up without overshoot, so their runs
+    # end off the output grid: without noise the peak then falls in the
+    # unsampled last ticks.
     cfg = PlatoonConfig(n_vehicles=5)
     spec = lambda k: ScenarioSpec(
         duration=20.0 if variant == "none" else 20.25,
         events=((0.0, "set_v_ref", 1.0),), noise=noise, variant=variant,
         out_every=k,
     )
-    guarded = slice(1, -1) if variant in ("rear", "two_sided") else slice(1, None)
-    speeds = np.abs(
-        run_scenario(cfg, spec(1), fir=nominal_fir).velocities[:, guarded]
-    ).max(axis=1)
+    trace = run_scenario(cfg, spec(1), fir=nominal_fir)
+    speeds = np.abs(trace.velocities).max(axis=1)
     peak, sampled = speeds.max(), speeds[::50].max()
     assert peak > sampled
     monkeypatch.setattr(sim, "VELOCITY_LIMIT", peak * (1.0 + 1e-9))
@@ -418,6 +447,19 @@ def test_guard_sees_ticks_between_samples(monkeypatch, nominal_fir, variant, noi
     monkeypatch.setattr(sim, "VELOCITY_LIMIT", 0.5 * (peak + sampled))
     with pytest.raises(NonFiniteState):
         run_scenario(cfg, spec(50), fir=nominal_fir)
+
+
+def test_guard_sees_commanded_ends(monkeypatch, nominal_fir):
+    # a spacing step drives both commanded ends to 0.547 m/s and no follower
+    # past 0.375 m/s; a commanded end's speed is its controller output, with
+    # no velocity state of its own
+    monkeypatch.setattr(sim, "VELOCITY_LIMIT", 0.45)
+    spec = ScenarioSpec(
+        duration=60.0, events=((1.0, "set_d_ref", 2.0),), variant="two_sided",
+        out_every=10,
+    )
+    with pytest.raises(NonFiniteState):
+        run_scenario(PlatoonConfig(n_vehicles=5), spec, fir=nominal_fir)
 
 
 def test_absorber_fir_rate_must_match_control_rate():
@@ -434,6 +476,15 @@ def test_off_grid_event_time_rejected():
     spec = ScenarioSpec(duration=1.0, events=((0.005, "set_v_ref", 1.0),))
     with pytest.raises(InvalidConfig, match="0.005"):
         run_scenario(PlatoonConfig(n_vehicles=3), spec)
+
+
+def test_event_ticks_hold_on_long_runs():
+    # two-decimal times up to 1e6 s lie on the 100 Hz grid; past 1e7 ticks
+    # the roundoff of time * fs_ctrl alone exceeds 1e-9 ticks
+    cents = np.random.default_rng(3).integers(0, 10**8, 20_000)
+    assert [sim._event_tick(c / 100.0, 100.0) for c in cents] == list(cents)
+    with pytest.raises(InvalidConfig, match="900000.005"):
+        sim._event_tick(900000.005, 100.0)
 
 
 def test_unstable_gains_raise_when_decimated(nominal_fir):
