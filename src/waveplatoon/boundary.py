@@ -3,18 +3,16 @@
 Online wave absorbers, the end gains and ramp slopes that turn velocity
 and spacing targets into end-vehicle ramp commands, and wave-model
 transfer functions of whole chains.
+
+An absorber is a linear filter of the neighbour samples it measures and
+the ramp values it sends. It keeps only the FIR histories of both; the
+caller owns the ramps and the clock and hands it the sent values.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateDenominator,
-    IndexOutOfRange,
-    InvalidConfig,
-    NonMonotonicTime,
-    SampleRateMismatch,
-)
+from .errors import DegenerateDenominator, IndexOutOfRange, InvalidConfig
 from .lti import FrequencyResponse, _check_grid, eval_at, origin_limit, tf_add
 from .wave import (
     DEFAULT_ITERATIONS,
@@ -153,65 +151,43 @@ def squared_fir(fir):
 
 
 class AbsorberState:
-    """Online state for one wave-absorbing end vehicle.
+    """Online state for one wave-absorbing end vehicle: its two bounded
+    FIR histories.
 
-    Both absorbers keep two bounded histories: the samples they measure,
-    filtered by the wave FIR into the incoming wave, and the ramp values
-    they send out, filtered into the echo of their own outgoing wave. The
-    head filters its echo by the squared FIR with the current tap zeroed,
-    so it sees its own wave only up to the previous sample; the tail by
-    the wave FIR. Positions are deviations from the starting pose.
+    One history holds the samples the absorber measures, which the wave
+    FIR filters into the incoming wave. The other holds the ramp values it
+    sends out, which ``echo_taps`` filter into the echo of its own
+    outgoing wave. The absorber keeps no clock and no ramp: whoever steps
+    it hands over the values it sends at each tick. Positions are
+    deviations from the starting pose.
     """
 
-    def __init__(self, fir, ramp, fir_squared=None):
+    def __init__(self, fir, echo_taps):
         self.fir = fir
-        self.fir_squared = fir_squared
-        self.ramp = ramp
-        self.last_t = None
         m = len(fir.taps)
         self._samples = FirBuffer(m)
         self._sent = FirBuffer(m)
-        echo_taps = fir.taps
-        if fir_squared is not None:
-            echo_taps = np.concatenate([[0.0], fir_squared.taps[1:]])
         # reversed once, so each block's FIR products are one correlation
         self._taps_rev = fir.taps[::-1].copy()
         self._echo_rev = echo_taps[::-1].copy()
 
 
-def make_front_absorber(fir, ramp, fir_squared=None):
-    if fir_squared is None:
-        fir_squared = squared_fir(fir)
-    if fir_squared.fs != fir.fs:
-        raise SampleRateMismatch("squared FIR must share the sample rate")
-    return AbsorberState(fir, ramp, fir_squared=fir_squared)
+def make_front_absorber(fir):
+    """Head absorber: its echo filter is the squared FIR with the current
+    tap zeroed, so it sees its own wave only up to the previous sample."""
+    echo = squared_fir(fir).taps
+    return AbsorberState(fir, np.concatenate([[0.0], echo[1:]]))
 
 
-def make_rear_absorber(fir, ramp):
-    return AbsorberState(fir, ramp)
+def make_rear_absorber(fir):
+    """Tail absorber: its echo filter is the wave FIR."""
+    return AbsorberState(fir, fir.taps)
 
 
-def _advance_time(state, t, count):
-    """Times of ``count`` ticks at the FIR rate from ``t``, which must
-    follow the last tick taken by one sample interval."""
-    if state.last_t is not None:
-        if t <= state.last_t:
-            raise NonMonotonicTime(f"step at t={t} after t={state.last_t}")
-        if abs((t - state.last_t) * state.fir.fs - 1.0) > 1e-6:
-            raise SampleRateMismatch(
-                f"step interval {t - state.last_t} does not match fs={state.fir.fs}"
-            )
-    times = t + np.arange(count) / state.fir.fs
-    state.last_t = float(times[-1])
-    return times
-
-
-def _sent_block(state, t, count):
-    """Ramp values the absorber sends over the block, and their echo."""
-    sent = state.ramp.sample(_advance_time(state, t, count))
+def _echo(state, sent):
+    """Record the ramp values sent over a block; return their echo."""
     state._sent.extend(sent)
-    echo = np.correlate(state._sent.window(count), state._echo_rev, "valid")
-    return sent, echo
+    return np.correlate(state._sent.window(len(sent)), state._echo_rev, "valid")
 
 
 def _lookback(state, count):
@@ -222,36 +198,38 @@ def _lookback(state, count):
 
 
 # Both absorbers are linear in the samples they measure. Over a block of
-# ``count`` ticks from ``t``, ``*_block`` returns the known part of the
-# commands and the offset added to each measured sample: with the block's
-# samples ``y = measured + offset``, the commands are ``known + T @ y``,
-# where ``T`` is the lower-triangular Toeplitz matrix of the wave FIR.
-# ``absorber_commit`` then records the block's samples. The per-tick steps
-# are the one-tick case.
+# ticks in which the absorber sends the ramp values ``sent``, ``*_block``
+# returns the known part of the commands and the offset added to each
+# measured sample: with the block's samples ``y = measured + offset``, the
+# commands are ``known + T @ y``, where ``T`` is the lower-triangular
+# Toeplitz matrix of the wave FIR. ``absorber_commit`` then records the
+# block's samples. The per-tick steps are the one-tick case. With ``h``
+# the wave FIR, ``h2`` the squared FIR, ``r`` the sent ramp values and
+# missing history zero, tick ``k`` gives (sums over the taps)
+#   head: u_k = r_k + sum_i h_i y_{k-i} - sum_{i>=1} h2_i r_{k-i}
+#   tail: y_k = measured_k - sum_i h_i r_{k-i},
+#         u_k = r_k + sum_i h_i y_{k-i}
 
 
-def absorber_front_block(state, t, count):
+def absorber_front_block(state, sent):
     """Known commands and sample offsets of the head absorber.
 
-    The head sends the reference ramp as its outgoing wave ``a``; its
-    command is the ramp plus the incoming wave (the filtered first-follower
-    samples) minus the echo of its own past ramp.
+    The head sends the reference ramp as its outgoing wave; its command is
+    the ramp plus the incoming wave (the filtered first-follower samples)
+    minus the echo of its own past ramp.
     """
-    if state.fir_squared is None:
-        raise InvalidConfig("head absorber requires the squared FIR")
-    sent, echo = _sent_block(state, t, count)
-    return sent - echo + _lookback(state, count), np.zeros(count)
+    count = len(sent)
+    return sent - _echo(state, sent) + _lookback(state, count), np.zeros(count)
 
 
-def absorber_rear_block(state, t, count):
+def absorber_rear_block(state, sent):
     """Known commands and sample offsets of the tail absorber.
 
     The tail sends the reference ramp; its sample is the neighbour's
     position less the echo of that ramp, and its command is the ramp plus
     that sample propagated one vehicle down.
     """
-    sent, echo = _sent_block(state, t, count)
-    return sent + _lookback(state, count), -echo
+    return sent + _lookback(state, len(sent)), -_echo(state, sent)
 
 
 def absorber_commit(state, samples):
@@ -259,32 +237,34 @@ def absorber_commit(state, samples):
     state._samples.extend(samples)
 
 
-def _absorber_step(block, state, measured, t):
-    known, offset = block(state, t, 1)
+def _absorber_step(block, state, measured, sent):
+    known, offset = block(state, np.array([sent], dtype=float))
     sample = measured + offset[0]
     command = known[0] + state.fir.taps[0] * sample
     absorber_commit(state, (sample,))
     return command
 
 
-def absorber_front_step(state, x1_sample, t):
-    """One tick of the head absorber; returns the commanded head position.
+def absorber_front_step(state, x1_sample, sent):
+    """One tick of the head absorber that sends the ramp value ``sent``;
+    returns the commanded head position.
 
     The incoming wave is filtered off the first follower's position, the
     echo of the absorber's own past output wave is subtracted, and the
-    command adds the reference ramp back on top.
+    command adds the ramp value back on top.
     """
-    return _absorber_step(absorber_front_block, state, x1_sample, t)
+    return _absorber_step(absorber_front_block, state, x1_sample, sent)
 
 
-def absorber_rear_step(state, x_prev_sample, t):
-    """One tick of the tail absorber; returns the commanded tail position.
+def absorber_rear_step(state, x_prev_sample, sent):
+    """One tick of the tail absorber that sends the ramp value ``sent``;
+    returns the commanded tail position.
 
     The neighbor's incoming wave is reconstructed by subtracting the
     filtered history of the tail's own outgoing wave (the ramp), then
-    propagated one vehicle down and stacked on the tail reference ramp.
+    propagated one vehicle down and stacked on the ramp value.
     """
-    return _absorber_step(absorber_rear_block, state, x_prev_sample, t)
+    return _absorber_step(absorber_rear_block, state, x_prev_sample, sent)
 
 
 VARIANTS = ("none", "front", "rear", "two_sided")

@@ -197,13 +197,13 @@ def _cmd_simulate(args):
 def _cmd_sweep(args):
     keys = ("kp", "ki", "xi", "dt", "fs", "v_ref", "n_list", "variants",
             "out_every")
-    v = _resolve(args, keys)
+    v = _resolve(args, keys, overrides={"out_every": 10})
     n_list = [int(tok) for tok in v["n_list"].split(",") if tok]
     variants = tuple(tok for tok in v["variants"].split(",") if tok)
     result = sweep(
         n_list, variants, kp=v["kp"], ki=v["ki"], xi=v["xi"],
         v_ref=v["v_ref"], dt=v["dt"], fs_ctrl=v["fs"],
-        out_every=max(v["out_every"], 10),
+        out_every=v["out_every"],
     )
     rows = []
     for c in result.cells:

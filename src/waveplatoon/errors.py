@@ -37,14 +37,6 @@ class DegreeOverflow(WavePlatoonError):
     """Rational approximant degree exceeded the configured safety cap."""
 
 
-class SampleRateMismatch(WavePlatoonError):
-    """Signal and filter sample rates differ."""
-
-
-class NonMonotonicTime(WavePlatoonError):
-    """Trace time stamps are not strictly increasing."""
-
-
 class InvalidConfig(WavePlatoonError):
     """Configuration values violate a documented precondition."""
 

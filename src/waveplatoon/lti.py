@@ -243,14 +243,6 @@ class StateSpace:
     def order(self):
         return self.A.shape[0]
 
-    def eval_at(self, s):
-        if self.order == 0:
-            return complex(self.D)
-        n = self.order
-        m = s * np.eye(n) - self.A
-        x = np.linalg.solve(m, self.B)
-        return complex((self.C @ x)[0, 0] + self.D)
-
     def freq_response(self, omegas):
         omegas = _check_grid(omegas)
         s = 1j * omegas[:, None, None]

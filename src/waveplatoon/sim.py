@@ -22,7 +22,9 @@ events and the end of the run. The absorbers are linear in the samples
 they measure, so the FIR feedback within a block is a unit lower-triangular
 linear system, solved once per run into precomputed maps. One product with
 them gives every tick's samples, commands and velocities and the state at
-the block's end; the absorbers' FIR histories enter as known terms.
+the block's end; the absorbers' FIR histories enter as known terms. The
+simulator owns the ramps and the tick clock: each block, it hands every
+absorber the ramp values it sends at the block's ticks.
 Without absorbers the maps reduce to powers of the tick map. Velocities
 are one linear readout of the augmented state, shared by the trace and
 the check of every tick against ``VELOCITY_LIMIT``.
@@ -366,14 +368,16 @@ class _Channel(NamedTuple):
     """One absorber end as the block stepper sees it.
 
     ``block`` is the absorber's ``absorber_*_block`` function and ``state``
-    its ``AbsorberState``. The command written to ``z[fresh]`` is
-    ``command0`` plus the absorber's output; the absorber measures
-    ``z[row] - sample0`` plus, when ``noise`` is a column index, that
-    tick's noise draw.
+    its ``AbsorberState``, which holds only FIR histories. The absorber
+    sends the values of the ``_ReferenceTracker`` ramp named ``ramp`` at
+    the block's ticks. The command written to ``z[fresh]`` is ``command0``
+    plus the absorber's output; the absorber measures ``z[row] - sample0``
+    plus, when ``noise`` is a column index, that tick's noise draw.
     """
 
     state: object
     block: object
+    ramp: str
     fresh: int
     row: int
     noise: object
@@ -502,15 +506,16 @@ def run_scenario(config, scenario, fir=None):
     """
     m = config.n_vehicles
     variant = scenario.variant
-    dyn = PlatoonDynamics(config, rear_commanded=variant in ("rear", "two_sided"))
+    front_abs = variant in ("front", "two_sided")
+    rear_abs = variant in ("rear", "two_sided")
+    dyn = PlatoonDynamics(config, rear_commanded=rear_abs)
     n = dyn.n_states
     z = np.zeros(dyn.dim)
     z[:n] = build_platoon(config)
     x_first0 = z[0]
     x_last0 = z[3 * (m - 1)]
 
-    front_abs = rear_abs = None
-    if variant in ("front", "rear", "two_sided"):
+    if front_abs or rear_abs:
         if fir is None:
             fir = wave_fir(
                 wave_tf_approx(config.coupling()), config.fs_ctrl, DEFAULT_FIR_SPAN
@@ -519,21 +524,19 @@ def run_scenario(config, scenario, fir=None):
             raise InvalidConfig("absorber FIR rate must match fs_ctrl")
     refs = _ReferenceTracker(config, variant)
     channels = []
-    if variant in ("front", "two_sided"):
-        front_abs = make_front_absorber(fir, refs.front_ramp)
+    if front_abs:
         channels.append(_Channel(
-            front_abs, absorber_front_block, dyn.front_fresh, 3, None,
-            x_first0, z[3],
+            make_front_absorber(fir), absorber_front_block, "front_ramp",
+            dyn.front_fresh, 3, None, x_first0, z[3],
         ))
         # the command that drove the plant into the current sample; a
         # commanded end's instantaneous velocity is its controller output
         # under the held command, not under the one about to be applied
         z[dyn.front_held] = x_first0
-    if variant in ("rear", "two_sided"):
-        rear_abs = make_rear_absorber(fir, refs.rear_ramp)
+    if rear_abs:
         channels.append(_Channel(
-            rear_abs, absorber_rear_block, dyn.rear_fresh, 3 * (m - 2), m - 2,
-            x_last0, z[3 * (m - 2)],
+            make_rear_absorber(fir), absorber_rear_block, "rear_ramp",
+            dyn.rear_fresh, 3 * (m - 2), m - 2, x_last0, z[3 * (m - 2)],
         ))
         z[dyn.rear_held] = x_last0
 
@@ -571,10 +574,6 @@ def run_scenario(config, scenario, fir=None):
         t = k * ctrl_dt
         while next_event < len(events) and event_ticks[next_event] <= k:
             refs.apply(events[next_event], t)
-            if front_abs is not None:
-                front_abs.ramp = refs.front_ramp
-            if rear_abs is not None:
-                rear_abs.ramp = refs.rear_ramp
             next_event += 1
 
         boundary = min(n_ctrl, k + stride, (k // out_every + 1) * out_every)
@@ -586,17 +585,19 @@ def run_scenario(config, scenario, fir=None):
         if rng is not None:
             noise = inject_noise(rng, sigma2, (j, m - 1))
 
-        if front_abs is None:
+        if not front_abs:
             z[dyn.ramp] = x_first0 + refs.front_ramp(t)
             z[dyn.ramp_slope] = refs.front_ramp.slope
-        if rear_abs is None:
+        if not rear_abs:
             z[dyn.spacing] = refs.d_target
         kappa = offset = None
         if channels:
+            times = t + np.arange(j) / config.fs_ctrl
             kappa = np.empty((j, c))
             offset = np.empty((j, c))
             for i, ch in enumerate(channels):
-                kappa[:, i], offset[:, i] = ch.block(ch.state, t, j)
+                sent = getattr(refs, ch.ramp).sample(times)
+                kappa[:, i], offset[:, i] = ch.block(ch.state, sent)
             kappa += command0
             offset -= sample0
         out, end = blocks.step(z, j, noise, kappa, offset)
@@ -606,8 +607,8 @@ def run_scenario(config, scenario, fir=None):
             t_out[row] = t
             x_out[row] = z[0:n:3]
             v_out[row] = dyn.velocity_rows @ z
-            c_out[row, 0] = z[dyn.ramp] if front_abs is None else commands[0, 0]
-            if rear_abs is not None:
+            c_out[row, 0] = commands[0, 0] if front_abs else z[dyn.ramp]
+            if rear_abs:
                 c_out[row, 1] = commands[0, -1]
             row += 1
         if k == n_ctrl:

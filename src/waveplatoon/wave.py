@@ -39,11 +39,9 @@ def pi_controller(kp, ki):
 
 @dataclass(frozen=True)
 class CouplingRatio:
-    """Neighbour-coupling ratio 1/(P*C) + 2 with its plant and controller."""
+    """Neighbour-coupling ratio 1/(P*C) + 2."""
 
     tf: RationalTF
-    plant: RationalTF
-    controller: RationalTF
 
     def __call__(self, s):
         return self.tf(s)
@@ -55,7 +53,7 @@ def make_coupling(plant, controller):
     if loop.num.is_zero:
         raise ZeroNumerator("plant*controller has zero numerator")
     tf = tf_add(tf_inv(loop), RationalTF.constant(2.0))
-    return CouplingRatio(tf=tf, plant=plant, controller=controller)
+    return CouplingRatio(tf=tf)
 
 
 def coupling_from_gains(kp, ki, xi):

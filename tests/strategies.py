@@ -40,3 +40,11 @@ def root_reference(a):
     big = (a + sq) / 2.0 if abs(a + sq) >= abs(a - sq) else (a - sq) / 2.0
     small = 1.0 / big
     return big if abs(abs(small) - 1.0) < 1e-9 and small.imag > 0 else small
+
+
+def ss_value(ss, s):
+    """Per-point value ``C (sI - A)^-1 B + D`` of a realization, one solve."""
+    if ss.order == 0:
+        return complex(ss.D)
+    x = np.linalg.solve(s * np.eye(ss.order) - ss.A, ss.B)
+    return complex((ss.C @ x)[0, 0] + ss.D)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from waveplatoon import cli
 from waveplatoon.cli import DEFAULTS, build_parser, load_config, main
 from waveplatoon.errors import WavePlatoonError
+from waveplatoon.sweep import SweepResult
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,24 @@ def test_sweep_table_and_slopes(tmp_path, capsys):
     lines = table.read_text().splitlines()
     assert lines[0] == "n,variant,duration,mse_velocity,settling_time,error"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "argv,expected", [([], 10), (["--out-every", "3"], 3)], ids=["default", "flag"]
+)
+def test_sweep_passes_out_every_as_resolved(tmp_path, capsys, monkeypatch, argv, expected):
+    seen = {}
+
+    def spy(n_list, variants, **kwargs):
+        seen.update(kwargs)
+        return SweepResult(cells=(), slopes={})
+
+    monkeypatch.setattr(cli, "sweep", spy)
+    code, _, _ = run_cli(
+        capsys, "sweep", "--n-list", "3", "--out", str(tmp_path / "s.csv"), *argv
+    )
+    assert code == 0
+    assert seen["out_every"] == expected
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -246,7 +246,7 @@ def test_absorbing_end_law_holds_and_can_fail(gains):
 def test_verify_reflection_null_fails_on_wrong_coupling(monkeypatch):
     def off_coupling(kp, ki, xi):
         c = coupling_from_gains(kp, ki, xi)
-        return CouplingRatio(tf_mul(c.tf, 1.001), c.plant, c.controller)
+        return CouplingRatio(tf_mul(c.tf, 1.001))
 
     monkeypatch.setattr(VERIFY, "coupling_from_gains", off_coupling)
     checks = {c.name: c for c in verify("absorption").checks}

@@ -1,4 +1,5 @@
-"""Every import in the package is used by the module that makes it.
+"""Every import in the package is used by the module that makes it, and
+every error type it declares is raised.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 bound by an import must appear as a name somewhere else in the module.
@@ -49,3 +50,39 @@ def test_unused_imports_are_found():
 )
 def test_package_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def raised_names(source):
+    """Names of the exceptions ``source`` raises, called or bare."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_raised_names_are_found():
+    source = (
+        "try:\n"
+        "    raise A('x')\n"
+        "except A:\n"
+        "    raise\n"
+        "raise B\n"
+        "C = 1\n"
+    )
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_every_error_type_is_raised():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    declared = [
+        node.name for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "WavePlatoonError"
+    ]
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        raised |= raised_names(path.read_text())
+    assert declared
+    assert [name for name in declared if name not in raised] == []

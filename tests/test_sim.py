@@ -8,15 +8,7 @@ from waveplatoon import sim
 
 from waveplatoon.errors import InvalidConfig, NonFiniteState
 from waveplatoon.lti import freq_response
-from waveplatoon.boundary import (
-    ChainModel,
-    absorber_front_step,
-    absorber_rear_step,
-    chain_tf_prediction,
-    kappa_front,
-    make_front_absorber,
-    make_rear_absorber,
-)
+from waveplatoon.boundary import ChainModel, chain_tf_prediction, kappa_front
 from waveplatoon.sim import (
     VARIANTS,
     Event,
@@ -317,9 +309,42 @@ def test_decimated_fold_property(n, k, seed, event_tick):
     _assert_decimation_exact(cfg, spec, k)
 
 
+def _dot(taps, history):
+    """``sum_i taps[i] * history[-1 - i]`` over the history there is."""
+    recent = history[-len(taps):][::-1]
+    return float(np.dot(taps[: len(recent)], recent))
+
+
+class _ReferenceAbsorber:
+    """An absorber written from the equations in ``boundary``'s comments,
+    with plain lists of its past samples and sent ramp values. With ``h``
+    the wave FIR, ``h2`` the squared FIR and missing history zero, tick
+    ``k`` gives
+    head: u_k = r_k + sum_i h_i y_{k-i} - sum_{i>=1} h2_i r_{k-i}
+    tail: y_k = measured_k - sum_i h_i r_{k-i}, u_k = r_k + sum_i h_i y_{k-i}
+    """
+
+    def __init__(self, taps, head):
+        self.taps = taps
+        self.head = head
+        self.squared = np.convolve(taps, taps)[: len(taps)]
+        self.samples, self.sent = [], []
+
+    def step(self, measured, sent):
+        if self.head:
+            echo = _dot(self.squared[1:], self.sent)
+            self.sent.append(sent)
+            self.samples.append(measured)
+            return sent + _dot(self.taps, self.samples) - echo
+        self.sent.append(sent)
+        self.samples.append(measured - _dot(self.taps, self.sent))
+        return sent + _dot(self.taps, self.samples)
+
+
 def _per_tick_reference(config, spec, fir):
     """``run_scenario`` one control tick at a time: the tick map, its noise
-    block and the per-tick absorber steps, sampled every ``out_every``."""
+    block and absorbers written from their equations, sampled every
+    ``out_every``."""
     m, variant = config.n_vehicles, spec.variant
     dyn = PlatoonDynamics(config, rear_commanded=variant in ("rear", "two_sided"))
     n = dyn.n_states
@@ -329,10 +354,10 @@ def _per_tick_reference(config, spec, fir):
     refs = sim._ReferenceTracker(config, variant)
     front = rear = None
     if variant in ("front", "two_sided"):
-        front = make_front_absorber(fir, refs.front_ramp)
+        front = _ReferenceAbsorber(fir.taps, head=True)
         z[dyn.front_held] = x0[0]
     if variant in ("rear", "two_sided"):
-        rear = make_rear_absorber(fir, refs.rear_ramp)
+        rear = _ReferenceAbsorber(fir.taps, head=False)
         z[dyn.rear_held] = x0[n - 3]
     rng = np.random.default_rng(spec.noise.seed)
     events = list(spec.events)
@@ -344,15 +369,13 @@ def _per_tick_reference(config, spec, fir):
         w = inject_noise(rng, spec.noise.variance, m - 1)
         cmd = [x0[0] + refs.front_ramp(t), np.nan]
         if front is not None:
-            front.ramp = refs.front_ramp
-            cmd[0] = x0[0] + absorber_front_step(front, z[3] - x0[3], t)
+            cmd[0] = x0[0] + front.step(z[3] - x0[3], refs.front_ramp(t))
             z[dyn.front_fresh] = cmd[0]
         else:
             z[dyn.ramp], z[dyn.ramp_slope] = cmd[0], refs.front_ramp.slope
         if rear is not None:
-            rear.ramp = refs.rear_ramp
             measured = z[n - 6] - x0[n - 6] + w[m - 2]
-            cmd[1] = x0[n - 3] + absorber_rear_step(rear, measured, t)
+            cmd[1] = x0[n - 3] + rear.step(measured, refs.rear_ramp(t))
             z[dyn.rear_fresh] = cmd[1]
         else:
             z[dyn.spacing] = refs.d_target

@@ -64,7 +64,7 @@ def test_coupling_nominal_value():
 def test_coupling_equals_inverse_loop_plus_two():
     c = nominal()
     s = 0.4 + 0.9j
-    loop = eval_at(c.plant, s) * eval_at(c.controller, s)
+    loop = eval_at(friction_plant(4.0), s) * eval_at(pi_controller(4.0, 4.0), s)
     assert c(s) == pytest.approx(1.0 / loop + 2.0)
 
 
