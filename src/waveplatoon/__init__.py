@@ -7,7 +7,6 @@ from .lti import (  # noqa: F401
     Polynomial,
     RationalTF,
     StateSpace,
-    dc_gain,
     eval_at,
     freq_response,
     impulse_response,

@@ -25,10 +25,6 @@ class UnstablePoles(WavePlatoonError):
     """Poles found outside the allowed stability region."""
 
 
-class InfiniteDCGain(WavePlatoonError):
-    """The s -> 0 limit diverges."""
-
-
 class ExtrapolationError(WavePlatoonError):
     """Origin-limit extrapolants disagree beyond the configured tolerance."""
 

@@ -19,7 +19,6 @@ from .errors import (
     DegenerateDenominator,
     ExtrapolationError,
     ImproperTF,
-    InfiniteDCGain,
     PoleAtProbe,
     UnstablePoles,
     ZeroNumerator,
@@ -185,25 +184,6 @@ def eval_at(a, s):
         first = np.atleast_1d(s)[np.atleast_1d(bad)][0]
         raise PoleAtProbe(f"denominator vanishes at s={first}")
     return a.num(s) / dv
-
-
-def dc_gain(a):
-    """Limit of ``a`` as s -> 0 after cancelling common powers of s.
-
-    Valuations count exact zero coefficients only: polynomial products
-    preserve exact zeros, while thresholding against the largest
-    coefficient misreads inputs whose coefficients span many decades.
-    """
-    if a.num.is_zero:
-        return 0.0
-    nc, dc = a.num.coeffs, a.den.coeffs
-    vn = int(np.argmax(nc != 0.0))
-    vd = int(np.argmax(dc != 0.0))
-    if vn < vd:
-        raise InfiniteDCGain(f"{vd - vn} uncancelled pole(s) at the origin")
-    if vn > vd:
-        return 0.0
-    return float(nc[vn] / dc[vd])
 
 
 def origin_limit(f, probes=(1e-5, 1e-6, 1e-7), rtol=1e-3):

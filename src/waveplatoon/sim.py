@@ -109,6 +109,12 @@ class NoiseSpec:
     variance: float
     seed: int = 0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.variance) and self.variance >= 0.0):
+            raise InvalidConfig(
+                f"noise variance must be finite and >= 0, got {self.variance}"
+            )
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -476,12 +482,13 @@ def _block_stride(out_every, dim, rows, cols):
 
 
 def _event_tick(time, fs_ctrl):
-    """Control tick of an event; its time must lie on the control grid, up
-    to the roundoff of ``time * fs_ctrl`` (a few ulps of the tick count)."""
+    """Control tick of an event time or a run's end; the time must lie on
+    the control grid, up to the roundoff of ``time * fs_ctrl`` (a few ulps
+    of the tick count)."""
     k = round(time * fs_ctrl)
     if abs(time * fs_ctrl - k) > max(1e-9, 4 * np.finfo(float).eps * abs(k)):
         raise InvalidConfig(
-            f"event time {time} is not on the {fs_ctrl:g} Hz control grid"
+            f"time {time} is not on the {fs_ctrl:g} Hz control grid"
         )
     return k
 
@@ -492,8 +499,8 @@ def run_scenario(config, scenario, fir=None):
     The plant advances at ``config.dt``; absorbers and noise update at the
     control rate ``config.fs_ctrl``; end commands slew linearly from the
     held to the fresh value over each control tick. The trace is sampled
-    every ``scenario.out_every`` control ticks. Event times must lie on the
-    control grid.
+    every ``scenario.out_every`` control ticks. Event times and the
+    duration must lie on the control grid.
 
     The run advances in blocks that end at output samples, event ticks and
     the end of the run. Within a block the absorbers' commands are linear
@@ -558,7 +565,7 @@ def run_scenario(config, scenario, fir=None):
     sample0 = np.array([ch.sample0 for ch in channels])
 
     ctrl_dt = 1.0 / config.fs_ctrl
-    n_ctrl = int(round(scenario.duration * config.fs_ctrl))
+    n_ctrl = _event_tick(scenario.duration, config.fs_ctrl)
     n_out = n_ctrl // out_every + 1
     t_out = np.empty(n_out)
     x_out = np.empty((n_out, m))

@@ -87,9 +87,11 @@ def sweep(
         )
 
     def run_cell(n, variant):
-        duration = (
-            durations[variant] if durations else sweep_duration(variant, n_max)
-        )
+        if durations:
+            duration = durations[variant]
+        else:
+            # on the control grid, so the cell records the length it simulates
+            duration = round(sweep_duration(variant, n_max) * fs_ctrl) / fs_ctrl
         try:
             config = PlatoonConfig(
                 n_vehicles=n, kp=kp, ki=ki, xi=xi, dt=dt, fs_ctrl=fs_ctrl,

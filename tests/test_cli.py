@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +183,76 @@ def test_parser_rejects_unknown_variant_value(capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize(
+    "command,ini,key",
+    [
+        ("simulate", "[wave]\nl = 2\ntruncate = 3\n", "l, truncate"),
+        ("noise", "[scenario]\nv_ref = 1.0\n", "v_ref"),
+        ("approx", "[scenario]\nn = 4\n", "n"),
+    ],
+    ids=["simulate-wave", "noise-v_ref", "approx-scenario"],
+)
+def test_config_key_the_subcommand_does_not_use_is_an_error(
+    tmp_path, capsys, command, ini, key
+):
+    # a key the subcommand would read and then drop must not pass silently
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    code, _, err = run_cli(
+        capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert f"{command} does not use {key} " in err
+
+
+def test_simulate_at_rest_is_the_noise_experiment(tmp_path, capsys):
+    run = ["--n", "5", "--duration", "50", "--seed", "3"]
+    code, out, _ = run_cli(capsys, "noise", *run)
+    assert code == 0
+    noise = json.loads(out)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--v-ref", "0", "--sigma2", "1", *run,
+        "--out", str(tmp_path / "rest.csv"),
+    )
+    assert code == 0
+    rest = json.loads(out)
+    for key in ("mse_dist", "mse_pos", "mean_pos", "max_dist"):
+        assert rest[key] == noise[key]
+
+
+@pytest.mark.parametrize("sigma2", ["-1", "nan"])
+def test_bad_noise_variance_is_an_error(tmp_path, capsys, sigma2):
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "3", "--duration", "1", "--sigma2", sigma2,
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
+    assert "variance" in err
+
+
+def _readme_blocks(language):
+    """Fenced ``language`` blocks of README's "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", section, re.S)
+
+
+def test_readme_command_lines_parse_and_its_config_runs(tmp_path, capsys):
+    lines = [
+        line for line in _readme_blocks("sh")[0].splitlines()
+        if line.startswith("waveplatoon ")
+    ]
+    assert len(lines) >= 5
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+    (ini,) = _readme_blocks("ini")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 0, err
+    assert json.loads(out)["settling_time"] is not None

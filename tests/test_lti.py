@@ -10,7 +10,6 @@ from waveplatoon.lti import (
     RationalTF,
     StateSpace,
     as_tf,
-    dc_gain,
     eval_at,
     freq_response,
     impulse_response,
@@ -23,7 +22,6 @@ from waveplatoon.lti import (
 from waveplatoon.errors import (
     ExtrapolationError,
     ImproperTF,
-    InfiniteDCGain,
     PoleAtProbe,
     UnstablePoles,
     ZeroNumerator,
@@ -93,15 +91,6 @@ def test_eval_at_array_matches_points(gains, w):
     got = eval_at(a, s)
     assert got.shape == s.shape
     assert rel_err(got, np.array([eval_at(a, p) for p in s])) <= 1e-12
-
-
-def test_dc_gain():
-    assert dc_gain(tf([2.0, 1.0], [1.0, 1.0, 1.0])) == pytest.approx(2.0)
-    # common zero at the origin cancels in the limit
-    assert dc_gain(tf([0.0, 1.0], [0.0, 1.0, 1.0])) == pytest.approx(1.0)
-    assert dc_gain(tf([0.0, 0.0, 3.0], [0.0, 2.0])) == pytest.approx(0.0)
-    with pytest.raises(InfiniteDCGain):
-        dc_gain(tf([1.0], [0.0, 1.0]))
 
 
 def factors(draw, max_degree, sign):

@@ -501,6 +501,14 @@ def test_off_grid_event_time_rejected():
         run_scenario(PlatoonConfig(n_vehicles=3), spec)
 
 
+@pytest.mark.parametrize("duration", [10.006, 0.004])
+def test_off_grid_duration_rejected(duration):
+    # the run would end on the next tick, past the time asked for
+    spec = ScenarioSpec(duration=duration)
+    with pytest.raises(InvalidConfig, match=f"time {duration} is not on"):
+        run_scenario(PlatoonConfig(n_vehicles=3), spec)
+
+
 def test_event_ticks_hold_on_long_runs():
     # two-decimal times up to 1e6 s lie on the 100 Hz grid; past 1e7 ticks
     # the roundoff of time * fs_ctrl alone exceeds 1e-9 ticks
@@ -551,6 +559,13 @@ def test_zero_variance_noise_is_clean():
     a = run_scenario(cfg, quiet)
     b = run_scenario(cfg, clean)
     assert np.array_equal(a.positions, b.positions)
+
+
+@pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf")])
+def test_noise_variance_must_be_finite_and_non_negative(variance):
+    # a bad variance would otherwise run noise-free
+    with pytest.raises(InvalidConfig, match="variance"):
+        NoiseSpec(variance=variance, seed=1)
 
 
 def test_inject_noise_contract():
