@@ -67,7 +67,14 @@ def load_config(path):
             )
         for key in keys:
             if parser.has_option(section, key):
-                values[key] = type(DEFAULTS[key])(parser.get(section, key))
+                text = parser.get(section, key)
+                try:
+                    values[key] = type(DEFAULTS[key])(text)
+                except ValueError:
+                    raise WavePlatoonError(
+                        f"[{section}] {key} = {text!r} in {path} is not "
+                        f"a valid {type(DEFAULTS[key]).__name__}"
+                    ) from None
     return values
 
 
@@ -148,7 +155,12 @@ def _cmd_simulate(v, args):
 
 
 def _cmd_sweep(v, args):
-    n_list = [int(tok) for tok in v["n_list"].split(",") if tok]
+    try:
+        n_list = [int(tok) for tok in v["n_list"].split(",") if tok]
+    except ValueError:
+        raise WavePlatoonError(
+            f"n_list must be comma-separated integers, got {v['n_list']!r}"
+        ) from None
     variants = tuple(tok for tok in v["variants"].split(",") if tok)
     result = sweep(
         n_list, variants, kp=v["kp"], ki=v["ki"], xi=v["xi"],

@@ -25,9 +25,12 @@ them gives every tick's samples, commands and velocities and the state at
 the block's end; the absorbers' FIR histories enter as known terms. The
 simulator owns the ramps and the tick clock: each block, it hands every
 absorber the ramp values it sends at the block's ticks.
-Without absorbers the maps reduce to powers of the tick map. Velocities
-are one linear readout of the augmented state, shared by the trace and
-the check of every tick against ``VELOCITY_LIMIT``.
+A run without absorbers advances its full blocks a chunk at a time: only
+the end-state recursion, one small product per block, runs in Python,
+while products over the whole chunk feed it the reference inputs and
+noise and give every tick's velocities. Velocities are one linear readout
+of the augmented state, shared by the trace and the check of every tick
+against ``VELOCITY_LIMIT``.
 """
 
 from typing import NamedTuple
@@ -368,6 +371,8 @@ class _ReferenceTracker:
 # stride; the stride is capped so that they stay under this many floats
 # (32 MB)
 JUMP_MAP_FLOATS = 1 << 22
+# a run without absorbers advances up to this many full blocks per product
+CHUNK_BLOCKS = 64
 
 
 class _Channel(NamedTuple):
@@ -409,7 +414,9 @@ class _BlockMaps:
     The maps are causal, so a shorter ``j``-tick block uses the leading
     ``j`` row and column blocks of ``full`` and of ``ends[j - 1]``.
     Without absorbers there are no commands and the rows are just the
-    velocities.
+    velocities, and ``chunk`` advances many full blocks with the same
+    maps: ``carry`` is the end map with the columns of the reference slots,
+    which each block overwrites, zeroed; they enter as inputs instead.
     """
 
     def __init__(self, dyn, stride, channels, noisy, taps):
@@ -448,6 +455,12 @@ class _BlockMaps:
             rows[i, c : 2 * c] = u
             rows[i, 2 * c :] = dyn.velocity_rows @ coef
         self.full = np.vstack([rows.reshape(stride * r, cols), coef])
+        if not channels:
+            # each block overwrites the reference slots, so they enter the
+            # stride's end map as inputs, like the noise
+            self.ref_slots = [dyn.ramp, dyn.ramp_slope, dyn.spacing]
+            self.carry = coef[:, :dim].copy()
+            self.carry[:, self.ref_slots] = 0.0
 
     def step(self, z, j, noise, kappa, offset):
         """Per-tick ``[samples, commands, velocities after the tick]`` of a
@@ -467,6 +480,30 @@ class _BlockMaps:
         cols = dim + j * q
         out = (self.full[: j * r, :cols] @ x).reshape(j, r)
         return out, self.ends[j - 1, :, :cols] @ x
+
+    def chunk(self, z, ref, noise):
+        """``len(ref)`` full blocks of a run without absorbers from ``z``.
+
+        Row ``b`` of ``ref`` holds block ``b``'s ramp, ramp slope and
+        spacing slots, and row ``b`` of ``noise`` its draws. Only the
+        end-state recursion runs block by block; the inputs enter it
+        through one product each, and one more gives every tick's
+        velocities.
+        Returns each block's ``x = [z, noise]`` as ``step`` forms it (``z``
+        with its reference slots set), the largest speed over all ticks,
+        and ``z`` after the last block.
+        """
+        dim = self.dim
+        end = self.full[self.stride * self.r :]
+        u = ref @ end[:, self.ref_slots].T + noise @ end[:, dim:].T
+        x = np.empty((len(ref), dim + noise.shape[1]))
+        for b, u_b in enumerate(u):
+            x[b, :dim] = z
+            z = self.carry @ z + u_b
+        x[:, self.ref_slots] = ref
+        x[:, dim:] = noise
+        vel = x @ self.full[: self.stride * self.r].T
+        return x, np.abs(vel, out=vel).max(), z
 
 
 def _block_stride(out_every, dim, rows, cols):
@@ -493,6 +530,16 @@ def _event_tick(time, fs_ctrl):
     return k
 
 
+def _guard(speed, a, b):
+    """The divergence guard: raise ``NonFiniteState`` unless ``speed`` is
+    within ``VELOCITY_LIMIT`` and every entry of ``a`` and ``b`` is
+    finite."""
+    if not (
+        speed <= VELOCITY_LIMIT and np.isfinite(a).all() and np.isfinite(b).all()
+    ):
+        raise NonFiniteState("simulation diverged")
+
+
 def run_scenario(config, scenario, fir=None):
     """Simulate one scenario and return the sampled trace.
 
@@ -507,9 +554,11 @@ def run_scenario(config, scenario, fir=None):
     in the samples they measure, so one product with precomputed maps
     gives every tick's samples, commands and velocities and the state at
     the block's end (a block cut short by an event or the run's end takes
-    the leading part of the same maps). Each block draws its noise in one
-    call, and the divergence guard sees every vehicle's velocity at every
-    tick.
+    the leading part of the same maps). Without absorbers, consecutive
+    full blocks go through those maps in chunks of up to ``CHUNK_BLOCKS``,
+    each checked whole before it is kept. Each block or chunk draws its
+    noise in one call, and the divergence guard sees every vehicle's
+    velocity at every tick.
     """
     m = config.n_vehicles
     variant = scenario.variant
@@ -583,9 +632,41 @@ def run_scenario(config, scenario, fir=None):
             refs.apply(events[next_event], t)
             next_event += 1
 
-        boundary = min(n_ctrl, k + stride, (k // out_every + 1) * out_every)
+        limit = n_ctrl
         if next_event < len(events):
-            boundary = min(boundary, event_ticks[next_event])
+            limit = min(limit, event_ticks[next_event])
+        next_out = (k // out_every + 1) * out_every
+        boundary = min(limit, k + stride, next_out)
+        if not channels and boundary - k == stride:
+            # full blocks follow one another up to the limit while they
+            # tile the output grid, else up to the next output sample
+            tiled = out_every % stride == 0 and (next_out - k) % stride == 0
+            last = limit if tiled else min(limit, next_out)
+            nb = min((last - k) // stride, CHUNK_BLOCKS)
+            ticks = k + stride * np.arange(nb)
+            times = ticks * ctrl_dt
+            ref = np.empty((nb, 3))
+            ref[:, 0] = x_first0 + refs.front_ramp.sample(times)
+            ref[:, 1] = refs.front_ramp.slope
+            ref[:, 2] = refs.d_target
+            noise = np.empty((nb, 0))
+            if rng is not None:
+                noise = inject_noise(rng, sigma2, (nb * stride, m - 1))
+            # a diverging chunk may overflow; the guard reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, speed, end = blocks.chunk(z, ref, noise.reshape(nb, -1))
+            _guard(speed, x, end)
+            sampled = ticks % out_every == 0
+            starts = x[sampled, : dyn.dim]
+            rows = slice(row, row + len(starts))
+            t_out[rows] = times[sampled]
+            x_out[rows] = starts[:, 0:n:3]
+            v_out[rows] = starts @ dyn.velocity_rows.T
+            c_out[rows, 0] = starts[:, dyn.ramp]
+            row += len(starts)
+            z = end
+            k += nb * stride
+            continue
         # the last tick is a one-tick block that gives its commands only
         j = max(boundary - k, 1)
         noise = None
@@ -621,12 +702,7 @@ def run_scenario(config, scenario, fir=None):
         if k == n_ctrl:
             break
         z = end
-        if not (
-            np.abs(out[:, 2 * c :]).max() <= VELOCITY_LIMIT
-            and np.isfinite(z).all()
-            and np.isfinite(out[:, : 2 * c]).all()
-        ):
-            raise NonFiniteState("simulation diverged")
+        _guard(np.abs(out[:, 2 * c :]).max(), z, out[:, : 2 * c])
         for i, ch in enumerate(channels):
             absorber_commit(ch.state, out[:, i])
         k = boundary

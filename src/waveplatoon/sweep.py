@@ -8,7 +8,7 @@ result lists them by variant name, then size.
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import WavePlatoonError
+from .errors import InvalidConfig, WavePlatoonError
 from .metrics import maneuver_metrics
 from .sim import VARIANTS, PlatoonConfig, ScenarioSpec, run_scenario
 from .wave import DEFAULT_FIR_SPAN, coupling_from_gains, wave_fir, wave_tf_approx
@@ -78,7 +78,10 @@ def sweep(
     each variant's log-log growth of velocity MSE with size."""
     n_list = list(n_list)
     if not n_list:
-        raise ValueError("need at least one platoon size")
+        raise InvalidConfig("need at least one platoon size")
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise InvalidConfig(f"unknown variant(s): {', '.join(map(str, unknown))}")
     n_max = max(n_list)
     fir = None
     if any(v != "none" for v in variants):

@@ -160,6 +160,45 @@ def test_unknown_config_option_is_an_error(tmp_path, capsys):
     assert load_config(cfg) == {"n": 4}
 
 
+@pytest.mark.parametrize(
+    "ini,section,key,value",
+    [
+        ("[scenario]\nn = 4.5\n", "scenario", "n", "4.5"),
+        ("[controller]\nkp = abc\n", "controller", "kp", "abc"),
+    ],
+    ids=["int", "float"],
+)
+def test_config_value_of_the_wrong_type_is_an_error(
+    tmp_path, capsys, ini, section, key, value
+):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    with pytest.raises(WavePlatoonError, match=rf"\[{section}\] {key} = '{value}'"):
+        load_config(cfg)
+    code, _, err = run_cli(
+        capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and f"'{value}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--n-list", "3,x"], "n_list"),
+        (["--n-list", ","], "at least one platoon size"),
+        (["--n-list", "3", "--variants", "none,sideways"], "sideways"),
+    ],
+    ids=["non-integer-size", "no-size", "unknown-variant"],
+)
+def test_bad_sweep_inputs_are_errors(tmp_path, capsys, argv, message):
+    code, _, err = run_cli(
+        capsys, "sweep", *argv, "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+
+
 def test_missing_config_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--config", str(tmp_path / "absent.ini"),

@@ -167,6 +167,15 @@ def test_sweep_small_grid():
         result.cell(99, "none")
 
 
+def test_sweep_rejects_unknown_variants_before_any_cell_runs(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sys.modules["waveplatoon.sweep"], "run_scenario", no_run)
+    with pytest.raises(InvalidConfig, match="sideways"):
+        sweep((3, 4), variants=("none", "sideways"))
+
+
 def test_sweep_reports_cell_errors():
     result = sweep(
         (3, 4),
@@ -180,7 +189,8 @@ def test_sweep_reports_cell_errors():
 
 
 def test_sweep_requires_sizes():
-    with pytest.raises(ValueError):
+    # a package error, so the CLI reports it instead of a traceback
+    with pytest.raises(InvalidConfig, match="at least one platoon size"):
         sweep(())
 
 

@@ -390,6 +390,9 @@ def _assert_matches_reference(config, spec, fir):
     got = run_scenario(config, spec, fir=fir)
     want = _per_tick_reference(config, spec, fir)
     assert np.array_equal(got.t, want.t)
+    if spec.variant == "none":
+        # the head command is the ramp, sampled from its own formula
+        assert np.array_equal(got.commands, want.commands, equal_nan=True)
     for field in ("positions", "velocities", "commands"):
         a, b = getattr(got, field), getattr(want, field)
         assert np.array_equal(np.isnan(a), np.isnan(b))
@@ -399,7 +402,7 @@ def _assert_matches_reference(config, spec, fir):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    variant=st.sampled_from(("front", "rear", "two_sided")),
+    variant=st.sampled_from(VARIANTS),
     n=st.integers(3, 12),
     k=st.integers(1, 25),
     dt=st.sampled_from((0.01, 0.005)),
@@ -409,8 +412,9 @@ def _assert_matches_reference(config, spec, fir):
 def test_block_stepper_matches_per_tick_reference(
     nominal_fir, variant, n, k, dt, seed, event_tick
 ):
-    # absorber blocks end at output samples and at an event tick that sits
-    # off the output grid, so full and partial blocks both occur
+    # blocks end at output samples and at an event tick that sits off the
+    # output grid, so full and partial blocks both occur; without absorbers
+    # the full ones run in chunks
     if k > 1 and event_tick % k == 0:
         event_tick += 1
     cfg = PlatoonConfig(n_vehicles=n, dt=dt)
@@ -424,20 +428,43 @@ def test_block_stepper_matches_per_tick_reference(
     _assert_matches_reference(cfg, spec, nominal_fir)
 
 
-def test_block_stepper_matches_reference_over_long_run(nominal_fir):
+@pytest.mark.parametrize("variant", ["two_sided", "none"])
+def test_block_stepper_matches_reference_over_long_run(nominal_fir, variant):
     # 12 001 ticks: each absorber history (1501 taps in a buffer of 4*1501
     # samples that starts with 1501 zeros) first moves its newest samples
-    # to the front after 3*1501 samples and again after 3*1501 + 1 more
+    # to the front after 3*1501 samples and again after 3*1501 + 1 more.
+    # Without absorbers the run crosses many chunks of full blocks, with
+    # partial blocks at both events and at the end.
     cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
     spec = ScenarioSpec(
         duration=120.0,
         events=((0.37, "set_v_ref", 1.0), (61.13, "set_d_ref", 1.4)),
         noise=NoiseSpec(variance=0.05, seed=21),
-        variant="two_sided",
+        variant=variant,
         out_every=9,
     )
     assert 120.0 * cfg.fs_ctrl > 2 * (3 * len(nominal_fir.taps) + 1)
+    assert 120.0 * cfg.fs_ctrl > 2 * sim.CHUNK_BLOCKS * spec.out_every
     _assert_matches_reference(cfg, spec, nominal_fir)
+
+
+@pytest.mark.parametrize("variant", ["none", "two_sided"])
+@pytest.mark.parametrize("stride", [4, 5])
+def test_stride_below_out_every_matches_reference(
+    monkeypatch, nominal_fir, variant, stride
+):
+    # large platoons cap the stride below out_every; 4 ticks leave a short
+    # block in every output interval and 5 tile it, and the events at
+    # 0.35 s and 2.37 s fall on and off that tiling
+    monkeypatch.setattr(sim, "_block_stride", lambda *args: stride)
+    spec = ScenarioSpec(
+        duration=8.0,
+        events=((0.35, "set_v_ref", 1.0), (2.37, "set_d_ref", 1.4)),
+        noise=NoiseSpec(variance=0.05, seed=8),
+        variant=variant,
+        out_every=10,
+    )
+    _assert_matches_reference(PlatoonConfig(n_vehicles=4), spec, nominal_fir)
 
 
 _GUARD_NOISE = ((None, "None"), (NoiseSpec(variance=0.2, seed=4), "noise1"))
@@ -518,6 +545,7 @@ def test_event_ticks_hold_on_long_runs():
         sim._event_tick(900000.005, 100.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unstable_gains_raise_when_decimated(nominal_fir):
     # the absorbers run on the nominal FIR: unstable gains have no
     # approximant to build one from
@@ -577,9 +605,19 @@ def test_inject_noise_contract():
     assert np.array_equal(draws, again)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unstable_gains_raise():
     cfg = PlatoonConfig(n_vehicles=3, ki=-50.0)
     spec = ScenarioSpec(duration=30.0, events=((0.5, "set_v_ref", 1.0),))
+    with pytest.raises(NonFiniteState):
+        run_scenario(cfg, spec)
+    # at ki = -1e5 the tick map's spectral radius is about 18, so the state
+    # overflows within the 640 ticks a run without absorbers advances at
+    # out_every=10 before its guard looks
+    cfg = PlatoonConfig(n_vehicles=3, ki=-1e5)
+    spec = ScenarioSpec(
+        duration=30.0, events=((0.0, "set_v_ref", 1.0),), out_every=10,
+    )
     with pytest.raises(NonFiniteState):
         run_scenario(cfg, spec)
 
