@@ -167,8 +167,7 @@ class AbsorberState:
         m = len(fir.taps)
         self._samples = FirBuffer(m)
         self._sent = FirBuffer(m)
-        # reversed once, so each block's FIR products are one correlation
-        self._taps_rev = fir.taps[::-1].copy()
+        # reversed once, so the echo over many ticks is one correlation
         self._echo_rev = echo_taps[::-1].copy()
 
 
@@ -185,51 +184,69 @@ def make_rear_absorber(fir):
 
 
 def _echo(state, sent):
-    """Record the ramp values sent over a block; return their echo."""
+    """Record the ramp values sent over some ticks; return their echo."""
     state._sent.extend(sent)
     return np.correlate(state._sent.window(len(sent)), state._echo_rev, "valid")
 
 
-def _lookback(state, count):
-    """Wave-FIR products over the block counting only the samples taken
-    before it; the block's own samples enter through ``T``."""
-    past = np.concatenate([state._samples.window(0), np.zeros(count)])
-    return np.correlate(past, state._taps_rev, "valid")
-
-
-# Both absorbers are linear in the samples they measure. Over a block of
-# ticks in which the absorber sends the ramp values ``sent``, ``*_block``
-# returns the known part of the commands and the offset added to each
-# measured sample: with the block's samples ``y = measured + offset``, the
-# commands are ``known + T @ y``, where ``T`` is the lower-triangular
-# Toeplitz matrix of the wave FIR. ``absorber_commit`` then records the
-# block's samples. The per-tick steps are the one-tick case. With ``h``
-# the wave FIR, ``h2`` the squared FIR, ``r`` the sent ramp values and
-# missing history zero, tick ``k`` gives (sums over the taps)
+# Both absorbers are linear in the samples they measure. Over ticks in which
+# the absorber sends the ramp values ``sent``, its commands are
+# ``known + lookback + T @ y``, with ``y = measured + offset`` the samples
+# of those ticks and ``T`` the lower-triangular Toeplitz matrix of the wave
+# FIR. ``known`` and ``offset`` depend on ``sent`` alone, so ``*_block``
+# gives them for any number of ticks at once, many blocks included.
+# ``lookback`` is the wave FIR over the samples taken before a block:
+# ``absorber_past(state) @ past_taps(taps, count)``. Only it and the
+# block's own samples depend on the state, so they are what a stepper
+# works out block by block; ``absorber_commit`` then records the samples.
+# The per-tick steps are the one-tick case. With ``h`` the wave FIR, ``h2``
+# the squared FIR, ``r`` the sent ramp values and missing history zero,
+# tick ``k`` gives (sums over the taps)
 #   head: u_k = r_k + sum_i h_i y_{k-i} - sum_{i>=1} h2_i r_{k-i}
 #   tail: y_k = measured_k - sum_i h_i r_{k-i},
 #         u_k = r_k + sum_i h_i y_{k-i}
 
 
 def absorber_front_block(state, sent):
-    """Known commands and sample offsets of the head absorber.
+    """The head absorber's known commands and sample offsets over ticks
+    that send ``sent``.
 
     The head sends the reference ramp as its outgoing wave; its command is
-    the ramp plus the incoming wave (the filtered first-follower samples)
-    minus the echo of its own past ramp.
+    the ramp plus the incoming wave (the filtered first-follower samples,
+    which the lookback and ``T`` add) minus the echo of its own past ramp.
     """
-    count = len(sent)
-    return sent - _echo(state, sent) + _lookback(state, count), np.zeros(count)
+    return sent - _echo(state, sent), np.zeros(len(sent))
 
 
 def absorber_rear_block(state, sent):
-    """Known commands and sample offsets of the tail absorber.
+    """The tail absorber's known commands and sample offsets over ticks
+    that send ``sent``.
 
     The tail sends the reference ramp; its sample is the neighbour's
     position less the echo of that ramp, and its command is the ramp plus
-    that sample propagated one vehicle down.
+    that sample propagated one vehicle down (the lookback and ``T``).
     """
-    return sent + _lookback(state, len(sent)), -_echo(state, sent)
+    return sent.copy(), -_echo(state, sent)
+
+
+def past_taps(taps, count):
+    """Weights of the lookback at a block's first ``count`` ticks.
+
+    Row ``j`` weighs the ``j``-th oldest of the ``len(taps) - 1`` samples
+    before the block and column ``i`` is tick ``i``: the entry is the tap
+    ``h_l`` of that sample's lag ``l`` from the tick, or zero where ``l``
+    is past the FIR's span.
+    """
+    span = len(taps) - 1
+    out = np.zeros((span, count))
+    for i in range(min(count, span)):
+        out[i:, i] = taps[span:i:-1]
+    return out
+
+
+def absorber_past(state):
+    """The ``len(fir.taps) - 1`` newest samples, oldest first."""
+    return state._samples.window(0)
 
 
 def absorber_commit(state, samples):
@@ -240,7 +257,8 @@ def absorber_commit(state, samples):
 def _absorber_step(block, state, measured, sent):
     known, offset = block(state, np.array([sent], dtype=float))
     sample = measured + offset[0]
-    command = known[0] + state.fir.taps[0] * sample
+    lookback = absorber_past(state) @ past_taps(state.fir.taps, 1)[:, 0]
+    command = known[0] + lookback + state.fir.taps[0] * sample
     absorber_commit(state, (sample,))
     return command
 

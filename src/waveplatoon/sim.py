@@ -20,17 +20,19 @@ tick.
 A run advances in blocks of ticks that end at output samples, reference
 events and the end of the run. The absorbers are linear in the samples
 they measure, so the FIR feedback within a block is a unit lower-triangular
-linear system, solved once per run into precomputed maps. One product with
-them gives every tick's samples, commands and velocities and the state at
-the block's end; the absorbers' FIR histories enter as known terms. The
-simulator owns the ramps and the tick clock: each block, it hands every
-absorber the ramp values it sends at the block's ticks.
-A run without absorbers advances its full blocks a chunk at a time: only
-the end-state recursion, one small product per block, runs in Python,
-while products over the whole chunk feed it the reference inputs and
-noise and give every tick's velocities. Velocities are one linear readout
-of the augmented state, shared by the trace and the check of every tick
-against ``VELOCITY_LIMIT``.
+linear system, solved once per run into precomputed maps. These give every
+tick's commands and velocities, the block's samples and the state at its
+end; the absorbers' FIR histories enter as known terms. The simulator owns
+the ramps and the tick clock and hands every absorber the ramp values it
+sends.
+Every run advances its consecutive full blocks a chunk at a time. What the
+state does not touch is worked out once per chunk: the reference inputs,
+the noise, and each absorber's ramp and the echo of it. Only the
+end-state recursion and, with absorbers, each block's samples and the FIR
+over the samples before it run block by block. One product over the chunk
+then gives every tick's commands and velocities. Velocities are one linear
+readout of the augmented state, shared by the trace and the check of every
+tick against ``VELOCITY_LIMIT``.
 """
 
 from typing import NamedTuple
@@ -45,11 +47,13 @@ from .boundary import (
     Ramp,
     absorber_commit,
     absorber_front_block,
+    absorber_past,
     absorber_rear_block,
     kappa_front,
     kappa_rear,
     make_front_absorber,
     make_rear_absorber,
+    past_taps,
     ramp_slopes,
 )
 from .errors import InvalidConfig, NonFiniteState
@@ -367,12 +371,11 @@ class _ReferenceTracker:
         self.rear_ramp = self.rear_ramp.continued(wr, t)
 
 
-# the block maps hold each tick's rows and state map over every input of a
-# stride; the stride is capped so that they stay under this many floats
-# (32 MB)
+# the block maps hold each tick's rows over every input of a stride; the
+# stride is capped so that they stay under this many floats (32 MB)
 JUMP_MAP_FLOATS = 1 << 22
-# a run without absorbers advances up to this many full blocks per product
-CHUNK_BLOCKS = 64
+# a run advances up to this many consecutive full blocks per chunk
+CHUNK_BLOCKS = 128
 
 
 class _Channel(NamedTuple):
@@ -401,42 +404,50 @@ class _BlockMaps:
     once, solving the absorbers' FIR feedback inside the block.
 
     With ``A`` the tick map with the fresh command columns zeroed and ``G``
-    those columns, one tick is ``z' = A z + G u + N w``. Each channel's
-    commands over a block are ``u = kappa + T y``: ``kappa`` is known before
-    the block, ``y`` are the block's samples (the measured state entry plus
-    a known ``offset``) and ``T`` is the lower-triangular Toeplitz matrix of
-    the FIR ``taps``. So every tick's samples, commands and the velocities
-    after it, and the state after every tick, are linear in
-    ``x = [z0, (w_0, kappa_0, offset_0), (w_1, kappa_1, offset_1), ...]``.
+    those columns, one tick is ``z' = A z + G u + N w`` (``tick`` is
+    ``[A, N, G]``). Each channel's commands over a block are
+    ``u = kappa + lookback + T y``: ``kappa`` is known before the block,
+    ``lookback`` is the FIR over the samples taken before it, ``y`` are
+    the block's samples (the measured state entry plus a known ``offset``)
+    and ``T`` is the lower-triangular Toeplitz matrix of the FIR ``taps``.
+    So every tick's commands and the velocities after it, the block's
+    samples and its end state are linear in
+    ``x = [z0, lookback, (w_0, kappa_0, offset_0), (w_1, kappa_1, offset_1), ...]``,
+    where ``lookback`` holds each channel's ``stride`` values in turn.
     Forward substitution (the unit lower-triangular solve of the feedback)
-    builds these maps once: ``ends[i]`` gives ``z`` after ``i + 1`` ticks,
-    and ``full`` stacks a whole stride's per-tick rows over its end state.
-    The maps are causal, so a shorter ``j``-tick block uses the leading
-    ``j`` row and column blocks of ``full`` and of ``ends[j - 1]``.
-    Without absorbers there are no commands and the rows are just the
-    velocities, and ``chunk`` advances many full blocks with the same
-    maps: ``carry`` is the end map with the columns of the reference slots,
-    which each block overwrites, zeroed; they enter as inputs instead.
+    builds these maps once: ``full`` stacks a stride's per-tick rows
+    ``[commands, velocities]``, then its end state and each channel's
+    samples. The maps are causal, so a shorter ``j``-tick block takes the
+    leading rows of the same maps, and its end state comes from the
+    commands tick by tick through ``tick``.
+
+    ``chunk`` advances many full blocks with the same maps. The inputs
+    known before the chunk enter through one product; the reference slots
+    in ``ref_slots``, which each block overwrites, are among them, and
+    ``carry``, the map of ``[z, lookback]`` to ``[end state, samples]``,
+    has their columns zeroed. Only the recursion through ``carry`` and
+    the lookback of each block run block by block.
     """
 
-    def __init__(self, dyn, stride, channels, noisy, taps):
+    def __init__(self, dyn, stride, channels, noisy, taps, ref_slots):
         self.dim = dim = dyn.dim
         m = dyn.config.n_vehicles
         self.c = c = len(channels)
         self.k = k = m - 1 if noisy else 0
         self.q = q = k + 2 * c
-        self.r = r = 2 * c + m
+        self.r = r = c + m
         self.stride = stride
+        self.ref_slots = ref_slots
         fresh = [ch.fresh for ch in channels]
         a = dyn.tick_map.copy()
         a[:, fresh] = 0.0
         inputs = np.hstack([dyn.tick_noise[:, :k], dyn.tick_map[:, fresh]])
+        self.tick = np.hstack([a, inputs])
 
         h = np.zeros(stride)
         h[: min(stride, len(taps))] = taps[:stride]
         cols = dim + stride * q
         coef = np.eye(dim, cols)  # z after i ticks as a map of x
-        self.ends = np.empty((stride, dim, cols))
         samples = np.zeros((stride, c, cols))
         rows = np.zeros((stride, r, cols))
         sample_rows = [ch.row for ch in channels]
@@ -450,67 +461,80 @@ class _BlockMaps:
             u = np.tensordot(h[i::-1], samples[: i + 1], axes=1)
             u[range(c), range(w + k, w + k + c)] += 1.0
             coef = a @ coef + inputs @ np.vstack([np.eye(k, cols, w), u])
-            self.ends[i] = coef
-            rows[i, :c] = samples[i]
-            rows[i, c : 2 * c] = u
-            rows[i, 2 * c :] = dyn.velocity_rows @ coef
-        self.full = np.vstack([rows.reshape(stride * r, cols), coef])
-        if not channels:
-            # each block overwrites the reference slots, so they enter the
-            # stride's end map as inputs, like the noise
-            self.ref_slots = [dyn.ramp, dyn.ramp_slope, dyn.spacing]
-            self.carry = coef[:, :dim].copy()
-            self.carry[:, self.ref_slots] = 0.0
+            rows[i, :c] = u
+            rows[i, c:] = dyn.velocity_rows @ coef
+        full = np.vstack([
+            rows.reshape(stride * r, cols),
+            coef,
+            samples.transpose(1, 0, 2).reshape(c * stride, cols),
+        ])
+        # the lookback enters each command as its known part does
+        kappa = (dim + k + np.arange(c)[:, None] + q * np.arange(stride)).ravel()
+        self.head = head = dim + c * stride
+        self.full = np.hstack([full[:, :dim], full[:, kappa], full[:, dim:]])
+        self.next = self.full[stride * r :]
+        self.carry = self.next[:, :head].copy()
+        self.carry[:, ref_slots] = 0.0
+        self.past = past_taps(taps, stride)
+        self.span = len(self.past)
 
-    def step(self, z, j, noise, kappa, offset):
-        """Per-tick ``[samples, commands, velocities after the tick]`` of a
-        ``j``-tick block from ``z``, and ``z`` at the block's end."""
-        dim, q, r, k, c = self.dim, self.q, self.r, self.k, self.c
-        x = z
-        if q:
-            x = np.empty(dim + j * q)
-            x[:dim] = z
-            ticks = x[dim:].reshape(j, q)
-            ticks[:, :k] = noise
-            ticks[:, k : k + c] = kappa
-            ticks[:, k + c :] = offset
-        if j == self.stride:
-            out = self.full @ x
-            return out[: j * r].reshape(j, r), out[j * r :]
-        cols = dim + j * q
-        out = (self.full[: j * r, :cols] @ x).reshape(j, r)
-        return out, self.ends[j - 1, :, :cols] @ x
+    def chunk(self, z, ref, x, hist):
+        """Consecutive full blocks from ``z``, one row of ``x`` each.
 
-    def chunk(self, z, ref, noise):
-        """``len(ref)`` full blocks of a run without absorbers from ``z``.
-
-        Row ``b`` of ``ref`` holds block ``b``'s ramp, ramp slope and
-        spacing slots, and row ``b`` of ``noise`` its draws. Only the
-        end-state recursion runs block by block; the inputs enter it
-        through one product each, and one more gives every tick's
-        velocities.
-        Returns each block's ``x = [z, noise]`` as ``step`` forms it (``z``
-        with its reference slots set), the largest speed over all ticks,
-        and ``z`` after the last block.
+        Row ``b`` of ``ref`` holds block ``b``'s reference slots, and row
+        ``b`` of ``x`` its known inputs after the lookback columns. Each
+        channel's row of ``hist`` starts with the ``span`` samples before
+        the chunk and takes the chunk's samples after them. ``x`` gets
+        each block's ``z`` (with its reference slots) and lookback.
+        Returns every tick's ``[commands, velocities]`` and ``z`` after the
+        last block.
         """
-        dim = self.dim
-        end = self.full[self.stride * self.r :]
-        u = ref @ end[:, self.ref_slots].T + noise @ end[:, dim:].T
-        x = np.empty((len(ref), dim + noise.shape[1]))
+        dim, head, c, s, span = self.dim, self.head, self.c, self.stride, self.span
+        u = (ref @ self.next[:, self.ref_slots].T
+             + x[:, head:] @ self.next[:, head:].T)
         for b, u_b in enumerate(u):
             x[b, :dim] = z
-            z = self.carry @ z + u_b
+            if not c:
+                z = self.carry @ z + u_b
+                continue
+            x[b, dim:head] = (hist[:, b * s : b * s + span] @ self.past).ravel()
+            out = self.carry @ x[b, :head] + u_b
+            hist[:, span + b * s : span + (b + 1) * s] = out[dim:].reshape(c, s)
+            z = out[:dim]
         x[:, self.ref_slots] = ref
-        x[:, dim:] = noise
-        vel = x @ self.full[: self.stride * self.r].T
-        return x, np.abs(vel, out=vel).max(), z
+        rows = x @ self.full[: s * self.r].T
+        return rows.reshape(len(x), s, self.r), z
+
+    def step(self, z, ref, x, hist):
+        """One block of ``j`` ticks, fewer than a stride or the run's last
+        tick, with ``ref``, ``x`` and ``hist`` laid out as for ``chunk``
+        (one row of ``x``, ``j`` samples after the ``span`` in ``hist``).
+        Returns the block's rows as ``chunk`` does and ``z`` at its end."""
+        dim, head, c, k, q, s = self.dim, self.head, self.c, self.k, self.q, self.stride
+        span = self.span
+        j = hist.shape[1] - span
+        xb = x[0]
+        xb[:dim] = z
+        xb[self.ref_slots] = ref[0]
+        xb[dim:head].reshape(c, s)[:, :j] = hist[:, :span] @ self.past[:, :j]
+        cols = head + j * q
+        rows = (self.full[: j * self.r, :cols] @ xb[:cols]).reshape(j, self.r)
+        if c:
+            samples = self.next[dim:, :cols] @ xb[:cols]
+            hist[:, span:] = samples.reshape(c, s)[:, :j]
+        z = xb[:dim]
+        noise = xb[head:cols].reshape(j, q)[:, :k]
+        for w, u in zip(noise, rows[:, :c]):
+            z = self.tick @ np.concatenate([z, w, u])
+        return rows[None], z
 
 
 def _block_stride(out_every, dim, rows, cols):
-    """Largest stride up to ``out_every`` whose maps fit JUMP_MAP_FLOATS."""
+    """Largest stride up to ``out_every`` whose maps fit JUMP_MAP_FLOATS:
+    ``rows`` and ``cols`` per tick, over ``dim`` state rows and columns."""
 
     def floats(b):
-        return (b * (rows + dim) + dim) * (dim + b * cols)
+        return (b * rows + dim) * (dim + b * cols)
 
     stride = max(min(out_every, JUMP_MAP_FLOATS // (dim * dim)), 1)
     while stride > 1 and floats(stride) > JUMP_MAP_FLOATS:
@@ -530,13 +554,10 @@ def _event_tick(time, fs_ctrl):
     return k
 
 
-def _guard(speed, a, b):
+def _guard(speed, *arrays):
     """The divergence guard: raise ``NonFiniteState`` unless ``speed`` is
-    within ``VELOCITY_LIMIT`` and every entry of ``a`` and ``b`` is
-    finite."""
-    if not (
-        speed <= VELOCITY_LIMIT and np.isfinite(a).all() and np.isfinite(b).all()
-    ):
+    within ``VELOCITY_LIMIT`` and every entry of ``arrays`` is finite."""
+    if not (speed <= VELOCITY_LIMIT and all(np.isfinite(a).all() for a in arrays)):
         raise NonFiniteState("simulation diverged")
 
 
@@ -551,14 +572,14 @@ def run_scenario(config, scenario, fir=None):
 
     The run advances in blocks that end at output samples, event ticks and
     the end of the run. Within a block the absorbers' commands are linear
-    in the samples they measure, so one product with precomputed maps
-    gives every tick's samples, commands and velocities and the state at
-    the block's end (a block cut short by an event or the run's end takes
-    the leading part of the same maps). Without absorbers, consecutive
-    full blocks go through those maps in chunks of up to ``CHUNK_BLOCKS``,
-    each checked whole before it is kept. Each block or chunk draws its
-    noise in one call, and the divergence guard sees every vehicle's
-    velocity at every tick.
+    in the samples they measure, so precomputed maps give every tick's
+    commands and velocities and the state at the block's end. Consecutive
+    full blocks go through those maps in chunks of up to ``CHUNK_BLOCKS``;
+    a block cut short by an event or the run's end takes the leading part
+    of the same maps. Each chunk or short block draws its noise and
+    samples its ramps in one call, and is checked whole before the
+    absorbers record its samples: the divergence guard sees every
+    vehicle's velocity at every tick.
     """
     m = config.n_vehicles
     variant = scenario.variant
@@ -605,10 +626,14 @@ def run_scenario(config, scenario, fir=None):
     out_every = scenario.out_every
     c = len(channels)
     noise_cols = m - 1 if rng is not None else 0
-    stride = _block_stride(out_every, dyn.dim, 2 * c + m, noise_cols + 2 * c)
+    stride = _block_stride(out_every, dyn.dim, 2 * c + m, noise_cols + 3 * c)
+    # the reference slots each block sets
+    ref_slots = [] if front_abs else [dyn.ramp, dyn.ramp_slope]
+    if not rear_abs:
+        ref_slots.append(dyn.spacing)
     blocks = _BlockMaps(
         dyn, stride, channels, rng is not None,
-        fir.taps if channels else np.zeros(0),
+        fir.taps if channels else np.zeros(1), ref_slots,
     )
     command0 = np.array([ch.command0 for ch in channels])
     sample0 = np.array([ch.sample0 for ch in channels])
@@ -627,85 +652,70 @@ def run_scenario(config, scenario, fir=None):
     next_event = 0
     k = 0
     while True:
-        t = k * ctrl_dt
         while next_event < len(events) and event_ticks[next_event] <= k:
-            refs.apply(events[next_event], t)
+            refs.apply(events[next_event], k * ctrl_dt)
             next_event += 1
 
         limit = n_ctrl
         if next_event < len(events):
             limit = min(limit, event_ticks[next_event])
         next_out = (k // out_every + 1) * out_every
-        boundary = min(limit, k + stride, next_out)
-        if not channels and boundary - k == stride:
+        j = min(limit, k + stride, next_out) - k
+        nb = 1
+        if j == stride:
             # full blocks follow one another up to the limit while they
             # tile the output grid, else up to the next output sample
             tiled = out_every % stride == 0 and (next_out - k) % stride == 0
             last = limit if tiled else min(limit, next_out)
             nb = min((last - k) // stride, CHUNK_BLOCKS)
-            ticks = k + stride * np.arange(nb)
-            times = ticks * ctrl_dt
-            ref = np.empty((nb, 3))
-            ref[:, 0] = x_first0 + refs.front_ramp.sample(times)
-            ref[:, 1] = refs.front_ramp.slope
-            ref[:, 2] = refs.d_target
-            noise = np.empty((nb, 0))
-            if rng is not None:
-                noise = inject_noise(rng, sigma2, (nb * stride, m - 1))
-            # a diverging chunk may overflow; the guard reports it
-            with np.errstate(over="ignore", invalid="ignore"):
-                x, speed, end = blocks.chunk(z, ref, noise.reshape(nb, -1))
-            _guard(speed, x, end)
-            sampled = ticks % out_every == 0
-            starts = x[sampled, : dyn.dim]
-            rows = slice(row, row + len(starts))
-            t_out[rows] = times[sampled]
-            x_out[rows] = starts[:, 0:n:3]
-            v_out[rows] = starts @ dyn.velocity_rows.T
-            c_out[rows, 0] = starts[:, dyn.ramp]
-            row += len(starts)
-            z = end
-            k += nb * stride
-            continue
         # the last tick is a one-tick block that gives its commands only
-        j = max(boundary - k, 1)
-        noise = None
-        if rng is not None:
-            noise = inject_noise(rng, sigma2, (j, m - 1))
-
+        j = max(j, 1)
+        starts = k + stride * np.arange(nb)
+        t = starts * ctrl_dt
+        ref = np.empty((nb, len(ref_slots)))
         if not front_abs:
-            z[dyn.ramp] = x_first0 + refs.front_ramp(t)
-            z[dyn.ramp_slope] = refs.front_ramp.slope
+            ref[:, 0] = x_first0 + refs.front_ramp.sample(t)
+            ref[:, 1] = refs.front_ramp.slope
         if not rear_abs:
-            z[dyn.spacing] = refs.d_target
-        kappa = offset = None
+            ref[:, -1] = refs.d_target
+        x = np.zeros((nb, blocks.head + stride * blocks.q))
+        feed = x[:, blocks.head : blocks.head + j * blocks.q].reshape(nb, j, -1)
+        if rng is not None:
+            noise = inject_noise(rng, sigma2, (nb * j, noise_cols))
+            feed[:, :, :noise_cols] = noise.reshape(nb, j, noise_cols)
+        hist = np.empty((c, blocks.span + nb * j))
         if channels:
-            times = t + np.arange(j) / config.fs_ctrl
-            kappa = np.empty((j, c))
-            offset = np.empty((j, c))
+            times = (t[:, None] + np.arange(j) / config.fs_ctrl).ravel()
             for i, ch in enumerate(channels):
-                sent = getattr(refs, ch.ramp).sample(times)
-                kappa[:, i], offset[:, i] = ch.block(ch.state, sent)
-            kappa += command0
-            offset -= sample0
-        out, end = blocks.step(z, j, noise, kappa, offset)
-        commands = out[:, c : 2 * c]
+                known, offset = ch.block(ch.state, getattr(refs, ch.ramp).sample(times))
+                feed[:, :, noise_cols + i] = (known + command0[i]).reshape(nb, j)
+                feed[:, :, noise_cols + c + i] = (offset - sample0[i]).reshape(nb, j)
+                hist[i, : blocks.span] = absorber_past(ch.state)
+        # a diverging chunk may overflow; the guard reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            advance = blocks.chunk if j == stride else blocks.step
+            rows, end = advance(z, ref, x, hist)
+        samples = hist[:, blocks.span :]
+        if k < n_ctrl:
+            speeds = rows[:, :, c:]
+            _guard(np.abs(speeds, out=speeds).max(), x, rows[:, :, :c], samples, end)
 
-        if k % out_every == 0:
-            t_out[row] = t
-            x_out[row] = z[0:n:3]
-            v_out[row] = dyn.velocity_rows @ z
-            c_out[row, 0] = commands[0, 0] if front_abs else z[dyn.ramp]
-            if rear_abs:
-                c_out[row, 1] = commands[0, -1]
-            row += 1
+        sampled = starts % out_every == 0
+        states = x[sampled, : dyn.dim]
+        rows_out = slice(row, row + len(states))
+        t_out[rows_out] = t[sampled]
+        x_out[rows_out] = states[:, 0:n:3]
+        v_out[rows_out] = states @ dyn.velocity_rows.T
+        c_out[rows_out, 0] = rows[sampled, 0, 0] if front_abs else states[:, dyn.ramp]
+        if rear_abs:
+            c_out[rows_out, 1] = rows[sampled, 0, c - 1]
+        row += len(states)
         if k == n_ctrl:
             break
+        for ch, y in zip(channels, samples):
+            absorber_commit(ch.state, y)
         z = end
-        _guard(np.abs(out[:, 2 * c :]).max(), z, out[:, : 2 * c])
-        for i, ch in enumerate(channels):
-            absorber_commit(ch.state, out[:, i])
-        k = boundary
+        k += nb * j
 
     return SimulationTrace(
         t=t_out[:row],

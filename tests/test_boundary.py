@@ -16,6 +16,7 @@ from waveplatoon.boundary import (
     kappa_rear,
     make_front_absorber,
     make_rear_absorber,
+    past_taps,
     ramp_slopes,
     squared_fir,
 )
@@ -175,6 +176,21 @@ def test_front_absorber_initial_slope(nominal_fir):
 def test_rear_absorber_quiet(nominal_fir):
     state = make_rear_absorber(nominal_fir)
     assert absorber_rear_step(state, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("length,count", [(1501, 10), (4, 7), (1, 3)])
+def test_past_taps_weigh_the_samples_before_a_block(length, count):
+    # tick i of a block sees the sample l ticks back through h_l; the
+    # samples before the block are the ``length - 1`` newest, oldest first
+    rng = np.random.default_rng(length)
+    taps = rng.normal(size=length)
+    past = rng.normal(size=length - 1)
+    want = [
+        sum(taps[lag] * past[-(lag - i)] for lag in range(i + 1, length))
+        for i in range(count)
+    ]
+    got = past @ past_taps(taps, count)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(taps).sum()
 
 
 def test_chain_prediction_front_dc(nominal):

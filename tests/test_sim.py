@@ -428,13 +428,12 @@ def test_block_stepper_matches_per_tick_reference(
     _assert_matches_reference(cfg, spec, nominal_fir)
 
 
-@pytest.mark.parametrize("variant", ["two_sided", "none"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_block_stepper_matches_reference_over_long_run(nominal_fir, variant):
     # 12 001 ticks: each absorber history (1501 taps in a buffer of 4*1501
-    # samples that starts with 1501 zeros) first moves its newest samples
-    # to the front after 3*1501 samples and again after 3*1501 + 1 more.
-    # Without absorbers the run crosses many chunks of full blocks, with
-    # partial blocks at both events and at the end.
+    # samples that starts with 1501 zeros) moves its newest samples to the
+    # front several times. The run crosses many chunks of full blocks,
+    # with partial blocks at both events and at the end.
     cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
     spec = ScenarioSpec(
         duration=120.0,
@@ -448,7 +447,7 @@ def test_block_stepper_matches_reference_over_long_run(nominal_fir, variant):
     _assert_matches_reference(cfg, spec, nominal_fir)
 
 
-@pytest.mark.parametrize("variant", ["none", "two_sided"])
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("stride", [4, 5])
 def test_stride_below_out_every_matches_reference(
     monkeypatch, nominal_fir, variant, stride
@@ -606,20 +605,46 @@ def test_inject_noise_contract():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_unstable_gains_raise():
+def test_unstable_gains_raise(nominal_fir):
     cfg = PlatoonConfig(n_vehicles=3, ki=-50.0)
     spec = ScenarioSpec(duration=30.0, events=((0.5, "set_v_ref", 1.0),))
     with pytest.raises(NonFiniteState):
         run_scenario(cfg, spec)
     # at ki = -1e5 the tick map's spectral radius is about 18, so the state
-    # overflows within the 640 ticks a run without absorbers advances at
-    # out_every=10 before its guard looks
+    # overflows within the 1280 ticks a run advances at out_every=10 before
+    # its guard looks; an absorber's lookback then reads the overflowed
+    # samples of the chunk's earlier blocks
     cfg = PlatoonConfig(n_vehicles=3, ki=-1e5)
+    for variant in VARIANTS:
+        spec = ScenarioSpec(
+            duration=30.0, events=((0.0, "set_v_ref", 1.0),), variant=variant,
+            out_every=10,
+        )
+        with pytest.raises(NonFiniteState):
+            run_scenario(cfg, spec, fir=nominal_fir)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_full_blocks_never_step_alone(monkeypatch, nominal_fir, variant):
+    # every full block goes through a chunk; ``step`` takes only the blocks
+    # up to and after the off-grid event and the run's last tick
+    calls = []
+    step = sim._BlockMaps.step
+
+    def counted(self, *args):
+        calls.append(args[-1].shape[1] - self.span)
+        return step(self, *args)
+
+    monkeypatch.setattr(sim._BlockMaps, "step", counted)
     spec = ScenarioSpec(
-        duration=30.0, events=((0.0, "set_v_ref", 1.0),), out_every=10,
+        duration=120.0,
+        events=((0.37, "set_v_ref", 1.0), (60.0, "set_d_ref", 1.4)),
+        variant=variant,
+        out_every=10,
     )
-    with pytest.raises(NonFiniteState):
-        run_scenario(cfg, spec)
+    run_scenario(PlatoonConfig(n_vehicles=5), spec, fir=nominal_fir)
+    # ticks 30-37 and 37-40 around the event at 0.37 s, and tick 12 000
+    assert sorted(calls) == [1, 3, 7]
 
 
 def test_chain_state_space_matches_wave_model():
