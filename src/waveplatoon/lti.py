@@ -225,11 +225,18 @@ class StateSpace:
 
     def freq_response(self, omegas):
         omegas = _check_grid(omegas)
-        s = 1j * omegas[:, None, None]
-        eye = np.eye(self.order)
+        s = 1j * omegas[:, None]
+        diag = np.arange(self.order)
+        # sI - A in the arithmetic of s*eye - A: 0 - A off the diagonal (a
+        # zero of A stays +0.0) and s - A on it; the solves leave their input
+        # alone, so each chunk rewrites only the diagonal
+        block = np.zeros((min(SOLVE_CHUNK, len(s)), self.order, self.order), complex)
+        block -= self.A
         values = np.empty(len(omegas), dtype=complex)
         for i in range(0, len(s), SOLVE_CHUNK):
-            m = s[i : i + SOLVE_CHUNK] * eye - self.A
+            si = s[i : i + SOLVE_CHUNK]
+            m = block[: len(si)]
+            m[:, diag, diag] = si - np.diag(self.A)
             # b gets a's stack dimension: numpy < 2 would read a 2-D b as a
             # stack of vectors
             x = np.linalg.solve(m, np.broadcast_to(self.B, (len(m),) + self.B.shape))
@@ -282,10 +289,10 @@ def sample_count(fs, T):
 def impulse_response(a, fs, T):
     """Samples of the continuous impulse response at times k/fs, k=0..floor(T*fs).
 
-    The response is produced by exact zero-order discretization of the
-    companion realization: the matrix exponential of A/fs is applied
-    recursively to the input vector. ``a`` must be strictly proper, with
-    its poles in the open left half-plane.
+    The continuous impulse response is sampled exactly, not held: the
+    companion realization's state transition over one sample, expm(A/fs),
+    is applied recursively to the input vector, one tap at a time. ``a``
+    must be strictly proper, with its poles in the open left half-plane.
     """
     if fs <= 0 or T <= 0:
         raise ValueError("fs and T must be positive")
@@ -298,11 +305,15 @@ def impulse_response(a, fs, T):
     ss = to_state_space(a)
     M = expm(ss.A / fs)
     x = ss.B.ravel().copy()
+    y = np.empty_like(x)
     c = ss.C.ravel()
     h = np.empty(count)
+    # one product per tap, in sequence: with companion coefficients up to
+    # 1e27, batched or blocked products round differently
     for k in range(count):
-        h[k] = c @ x
-        x = M @ x
+        h[k] = c.dot(x)
+        M.dot(x, out=y)
+        x, y = y, x
     return h
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeOverflow, ZeroNumerator, DegenerateDenominator
-from .lti import RationalTF, impulse_response, sample_count, tf_add, tf_inv, tf_mul
+from .lti import RationalTF, _trim, impulse_response, sample_count, tf_add, tf_inv, tf_mul
 
 # Denominator-degree cap for the continued-fraction recursion. At depth L
 # the degree is at most L times the coupling's numerator degree (exactly 3L
@@ -141,16 +141,32 @@ def wave_tf_approx(coupling, iterations=DEFAULT_ITERATIONS):
             f"depth {iterations} gives approximant degree {degree}, "
             f"above {MAX_APPROX_DEGREE}"
         )
-    g = RationalTF.constant(1.0)
+    # g = p/q with q monic, stepped on coefficient arrays with tf_add's and
+    # tf_inv's arithmetic: coupling - g = (a_num*q - p*a_den)/(a_den*q) has
+    # a monic denominator, so normalizing the sum divides by exactly 1.0
+    a_num, a_den = coupling.tf.num.coeffs, coupling.tf.den.coeffs
+    p, q = np.ones(1), np.ones(1)
     for _ in range(iterations):
-        step = tf_add(coupling.tf, -g)
-        try:
-            g = tf_inv(step)
-        except ZeroNumerator as exc:
-            raise DegenerateDenominator(
-                "recursion step produced a zero denominator"
-            ) from exc
-    return WaveApprox(approx=g, iterations=iterations, coupling=coupling)
+        left, right = np.convolve(a_num, q), np.convolve(-p, a_den)
+        den = np.convolve(a_den, q)
+        num = np.zeros(max(len(left), len(right)))
+        num[: len(left)] += left
+        num[: len(right)] += right
+        num = _trim(num)
+        if len(num) == 1 and num[0] == 0.0:
+            _check_finite(den)
+            raise DegenerateDenominator("recursion step produced a zero denominator")
+        # a coefficient that is not finite anywhere in the step stays so
+        # after the division by the nonzero lead
+        p, q = den / num[-1], num / num[-1]
+        _check_finite(p, q)
+    return WaveApprox(approx=RationalTF(p, q), iterations=iterations, coupling=coupling)
+
+
+def _check_finite(*coeffs):
+    """Raise as ``Polynomial`` does on coefficients that are not finite."""
+    if not np.isfinite(np.concatenate(coeffs)).all():
+        raise ValueError("coefficients must be finite")
 
 
 @dataclass(frozen=True)

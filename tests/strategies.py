@@ -43,8 +43,15 @@ def root_reference(a):
 
 
 def ss_value(ss, s):
-    """Per-point value ``C (sI - A)^-1 B + D`` of a realization, one solve."""
-    if ss.order == 0:
-        return complex(ss.D)
+    """Per-point value ``C (sI - A)^-1 B + D`` of a realization, one solve
+    (an empty one at order 0)."""
     x = np.linalg.solve(s * np.eye(ss.order) - ss.A, ss.B)
     return complex((ss.C @ x)[0, 0] + ss.D)
+
+
+def same_bits(got, want):
+    """True when two arrays hold the same values bit for bit, signed zeros
+    included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from strategies import jw_grids, rel_err, routh_gains, ss_value
+from scipy.linalg import expm
+from strategies import jw_grids, rel_err, routh_gains, same_bits, ss_value
 
 from waveplatoon.lti import (
     SOLVE_CHUNK,
@@ -14,6 +15,7 @@ from waveplatoon.lti import (
     freq_response,
     impulse_response,
     origin_limit,
+    sample_count,
     tf_add,
     tf_inv,
     tf_mul,
@@ -27,7 +29,7 @@ from waveplatoon.errors import (
     ZeroNumerator,
 )
 from waveplatoon.sim import chain_state_space
-from waveplatoon.wave import coupling_from_gains
+from waveplatoon.wave import coupling_from_gains, wave_tf_approx
 
 
 def tf(num, den):
@@ -203,6 +205,32 @@ def test_impulse_response_double_pole():
     assert np.abs(h - t * np.exp(-t)).max() < 1e-12
 
 
+def tap_reference(a, fs, T):
+    """Taps one at a time with fresh products: x = B, then h[k] = c @ x and
+    x = M @ x, with M = expm(A/fs) of the companion realization."""
+    ss = to_state_space(a)
+    M = expm(ss.A / fs)
+    x, c = ss.B.ravel(), ss.C.ravel()
+    h = np.empty(sample_count(fs, T))
+    for k in range(len(h)):
+        h[k] = c @ x
+        x = M @ x
+    return h
+
+
+@settings(max_examples=15, deadline=None)
+@given(gains=routh_gains())
+def test_impulse_response_matches_per_tap_reference(gains):
+    # the depth-20 companion form has coefficients up to 1e27, where any
+    # other grouping of the products rounds differently
+    for a, fs, T in (
+        (tf([1.0], [1.0, 1.0]), 10.0, 2.0),
+        (tf([1.0], [1.0, 2.0, 1.0]), 20.0, 3.0),
+        (wave_tf_approx(coupling_from_gains(*gains), 20).approx, 100.0, 15.0),
+    ):
+        assert same_bits(impulse_response(a, fs, T), tap_reference(a, fs, T))
+
+
 def test_impulse_response_rejects_bad_inputs():
     with pytest.raises(ImproperTF):
         impulse_response(tf([1.0, 1.0], [1.0, 1.0]), 10.0, 1.0)
@@ -244,9 +272,15 @@ def test_freq_response_pole_on_grid():
         lambda k: k % SOLVE_CHUNK)),
 )
 def test_state_space_freq_response_matches_eval_at(gains, n, w):
-    ss = chain_state_space(*gains, n)
-    got = ss.freq_response(w).values
-    assert rel_err(got, np.array([ss_value(ss, 1j * p) for p in w])) <= 1e-12
+    # the batched solves are the per-point ones bit for bit, at every order:
+    # a chain, the depth-20 companion form, and a constant's order 0
+    for ss in (
+        chain_state_space(*gains, n),
+        to_state_space(wave_tf_approx(coupling_from_gains(*gains), 20).approx),
+        to_state_space(RationalTF.constant(gains[0])),
+    ):
+        want = np.array([ss_value(ss, 1j * p) for p in w])
+        assert same_bits(ss.freq_response(w).values, want)
 
 
 def test_state_space_freq_response_matches():

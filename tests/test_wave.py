@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from strategies import jw_grids, rel_err, root_reference, routh_gains
+from strategies import jw_grids, rel_err, root_reference, routh_gains, same_bits
 
 from waveplatoon.boundary import ChainModel, WaveTransferEvaluator
-from waveplatoon.lti import eval_at, freq_response
+from waveplatoon.lti import RationalTF, eval_at, freq_response, tf_add, tf_inv
 from waveplatoon.verify import APPROX_GRID
 from waveplatoon.wave import (
     DEFAULT_FIR_RATE,
@@ -25,6 +25,7 @@ from waveplatoon.wave import (
     wave_tf_pair,
 )
 from waveplatoon.errors import (
+    DegenerateDenominator,
     DegreeOverflow,
     ZeroNumerator,
 )
@@ -179,6 +180,43 @@ def test_approx_matches_scalar_recursion():
     ref = scalar_recursion(al, 20)
     got = np.array([ap(1j * wi) for wi in w])
     assert np.abs(got - ref).max() < 1e-6
+
+
+def tf_recursion(coupling, depth):
+    """The approximant's recursion in rational algebra: g <- 1/(coupling - g)
+    from g = 1, through tf_add and tf_inv."""
+    g = RationalTF.constant(1.0)
+    for _ in range(depth):
+        g = tf_inv(tf_add(coupling.tf, -g))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(gains=routh_gains(), depth=st.integers(1, 30))
+def test_approx_is_the_rational_recursion(gains, depth):
+    coupling = coupling_from_gains(*gains)
+    got = wave_tf_approx(coupling, depth).approx
+    want = tf_recursion(coupling, depth)
+    assert same_bits(got.num.coeffs, want.num.coeffs)
+    assert same_bits(got.den.coeffs, want.den.coeffs)
+
+
+def test_approx_degenerate_step_raises():
+    # coupling 1 against g = 1: the first step's denominator is zero
+    with pytest.raises(DegenerateDenominator):
+        wave_tf_approx(CouplingRatio(RationalTF.constant(1.0)), 1)
+
+
+@pytest.mark.parametrize("num, depth", [
+    ([1e200, 1.0], 2),  # the second step's products overflow
+    ([1.0, 1e-310], 1),  # dividing by the first step's subnormal lead overflows
+])
+def test_approx_overflowing_step_raises(num, depth):
+    coupling = CouplingRatio(RationalTF(num, [1.0]))
+    with np.errstate(all="ignore"):
+        for build in (tf_recursion, lambda c, d: wave_tf_approx(c, d).approx):
+            with pytest.raises(ValueError, match="finite"):
+                build(coupling, depth)
 
 
 def test_approx_default_iterations():
