@@ -10,7 +10,6 @@ from .lti import (  # noqa: F401
     eval_at,
     freq_response,
     impulse_response,
-    origin_limit,
     tf_add,
     tf_inv,
     tf_mul,

@@ -9,59 +9,50 @@ the ramp values it sends. It keeps only the FIR histories of both; the
 caller owns the ramps and the clock and hands it the sent values.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominator, IndexOutOfRange, InvalidConfig
-from .lti import FrequencyResponse, _check_grid, eval_at, origin_limit, tf_add
-from .wave import (
-    DEFAULT_ITERATIONS,
-    WaveFIR,
-    wave_tf_exact,
-    wave_tf_exact_shifted,
-)
+import numpy as np
+
+from .errors import IndexOutOfRange, InvalidConfig
+from .lti import FrequencyResponse, _check_grid, eval_at, tf_add
+from .wave import DEFAULT_ITERATIONS, WaveFIR, wave_tf_exact
 
 SQUARED_FIR_TAIL_LIMIT = 0.01
 
 
-def _shifted_coupling(coupling):
-    """The coupling ratio less 2 as its own rational; evaluating it directly
-    keeps its digits where the ratio is close to 2 (near s=0)."""
+def _origin_curvature(coupling):
+    """The coefficient ``c`` of the coupling's series at the origin,
+    ``alpha(s) = 2 + c s**2 + O(s**3)``; ``xi/ki`` for the friction plant
+    with PI control.
+
+    Then ``G = 1 - s sqrt(c) + O(s**2)``, so both end gains are closed
+    forms in ``c``. A coupling whose series starts otherwise, or with
+    ``c <= 0``, has no such gains and raises ``InvalidConfig``.
+    """
     shifted = tf_add(coupling.tf, -2.0)
-    if shifted.num.is_zero:
-        raise DegenerateDenominator("coupling ratio is identically 2")
-    return shifted
+    n0, n1, n2 = np.append(shifted.num.coeffs, [0.0, 0.0])[:3]
+    d0 = shifted.den.coeffs[0]
+    if n0 != 0.0 or n1 != 0.0 or d0 == 0.0 or not n2 / d0 > 0.0:
+        raise InvalidConfig(
+            "coupling ratio is not 2 + c s^2 + O(s^3) with c > 0 at s = 0"
+        )
+    return float(n2 / d0)
 
 
 def kappa_front(coupling):
     """Steady velocity produced at the head of the platoon per unit of
-    reference-spacing change, for a wave-commanded leader.
-
-    Evaluated on the exact wave transfer function near s=0; finite
-    approximants flatten at the origin and would report zero.
-    """
-    shifted = _shifted_coupling(coupling)
-
-    def path(s):
-        d = eval_at(shifted, s)
-        g = wave_tf_exact_shifted(d)
-        return g * s * (g - 1.0) / d
-
-    return origin_limit(path)
+    reference-spacing change, for a wave-commanded leader:
+    ``-1/sqrt(c)``, which is -sqrt(ki/xi) for the friction plant with PI
+    control."""
+    return -1.0 / math.sqrt(_origin_curvature(coupling))
 
 
 def kappa_rear(coupling):
     """Steady spacing change per unit of sustained head velocity at a
-    spacing-regulated tail, as the static gain of (1 - G)/s; sqrt(xi/ki)
-    for the friction plant with PI control.
-    """
-    shifted = _shifted_coupling(coupling)
-
-    def path(s):
-        g = wave_tf_exact_shifted(eval_at(shifted, s))
-        return (1.0 - g) / s
-
-    return origin_limit(path)
+    spacing-regulated tail, as the static gain of (1 - G)/s: ``sqrt(c)``,
+    which is sqrt(xi/ki) for the friction plant with PI control."""
+    return math.sqrt(_origin_curvature(coupling))
 
 
 def ramp_slopes(v_ref, d_ref, kappa_front, kappa_rear):

@@ -17,7 +17,6 @@ from scipy.linalg import expm
 
 from .errors import (
     DegenerateDenominator,
-    ExtrapolationError,
     ImproperTF,
     PoleAtProbe,
     UnstablePoles,
@@ -186,30 +185,6 @@ def eval_at(a, s):
     return a.num(s) / dv
 
 
-def origin_limit(f, probes=(1e-5, 1e-6, 1e-7), rtol=1e-3):
-    """Limit of ``f(s)`` as real s -> 0+ by Richardson extrapolation.
-
-    Two extrapolants are formed from consecutive probe pairs; if they
-    disagree beyond ``rtol`` (relative) an :class:`ExtrapolationError` is
-    raised instead of returning a doubtful value.
-    """
-    p = [float(x) for x in probes]
-    if len(p) != 3 or not all(a > b > 0 for a, b in zip(p, p[1:])):
-        raise ValueError("probes must be three positive decreasing reals")
-    f0, f1, f2 = (complex(f(x)) for x in p)
-
-    def richardson(sa, fa, sb, fb):
-        return (sa * fb - sb * fa) / (sa - sb)
-
-    ra = richardson(p[0], f0, p[1], f1)
-    rb = richardson(p[1], f1, p[2], f2)
-    if abs(ra - rb) > rtol * max(1.0, abs(rb)):
-        raise ExtrapolationError(
-            f"origin extrapolants disagree: {ra} vs {rb} (rtol={rtol})"
-        )
-    return float(rb.real)
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Single-input single-output realization dx/dt = Ax + Bu, y = Cx + Du."""
@@ -321,6 +296,8 @@ def _check_grid(omegas):
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("frequency grid must be a non-empty 1-D sequence")
+    if not np.isfinite(w).all():
+        raise ValueError("frequency grid must be finite")
     if np.any(w <= 0) or np.any(np.diff(w) <= 0):
         raise ValueError("frequency grid must be positive and strictly increasing")
     return w

@@ -346,13 +346,6 @@ class _ReferenceTracker:
     def __init__(self, config, variant):
         self.config = config
         self.variant = variant
-        coupling = config.coupling()
-        self.k_front = (
-            kappa_front(coupling) if variant in ("front", "two_sided") else 0.0
-        )
-        self.k_rear = (
-            kappa_rear(coupling) if variant in ("rear", "two_sided") else 0.0
-        )
         self.v_target = 0.0
         self.d_target = config.d_ref0
         self.front_ramp = Ramp(0.0)
@@ -365,7 +358,17 @@ class _ReferenceTracker:
             self.d_target = event.value
         v_dev = self.v_target
         d_dev = self.d_target - self.config.d_ref0
-        w0, wr = ramp_slopes(v_dev, d_dev, self.k_front, self.k_rear)
+        # the end gains weigh only the spacing deviation and are formed only
+        # for one: a run whose gains have none (ki <= 0) and whose spacing
+        # stays put still ends at the divergence guard
+        k_front = k_rear = 0.0
+        if d_dev:
+            coupling = self.config.coupling()
+            if self.variant in ("front", "two_sided"):
+                k_front = kappa_front(coupling)
+            if self.variant in ("rear", "two_sided"):
+                k_rear = kappa_rear(coupling)
+        w0, wr = ramp_slopes(v_dev, d_dev, k_front, k_rear)
         front_slope = w0 if self.variant in ("front", "two_sided") else v_dev
         self.front_ramp = self.front_ramp.continued(front_slope, t)
         self.rear_ramp = self.rear_ramp.continued(wr, t)

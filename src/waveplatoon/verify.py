@@ -10,6 +10,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .boundary import ChainModel, chain_tf_prediction, kappa_front, kappa_rear
+from .errors import ExtrapolationError
 from .lti import eval_at, freq_response
 from .sim import _chain_matrix, chain_state_space
 from .wave import (
@@ -38,6 +39,11 @@ SUITES = (
 # rely on
 APPROX_GRID = (1.0, 100.0)
 ORACLE_GRID = (1.0, 10.0)
+
+# probes of the end gains' numeric limits: the plain wave root reads G - 1
+# off alpha - 2 = c s**2, which the rounding of alpha blurs by about
+# 1e-16/s**2 relative, so the probes stop at 1e-4
+END_GAIN_PROBES = (1e-2, 1e-3, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -217,33 +223,44 @@ def _suite_absorption(ctx):
     ]
 
 
+def origin_limit(f, probes=(1e-5, 1e-6, 1e-7), rtol=1e-3):
+    """Limit of ``f(s)`` as real s -> 0+ by Richardson extrapolation.
+
+    Two extrapolants are formed from consecutive probe pairs; if they
+    disagree beyond ``rtol`` (relative) an :class:`ExtrapolationError` is
+    raised instead of returning a doubtful value.
+    """
+    p = [float(x) for x in probes]
+    if len(p) != 3 or not all(a > b > 0 for a, b in zip(p, p[1:])):
+        raise ValueError("probes must be three positive decreasing reals")
+    f0, f1, f2 = (complex(f(x)) for x in p)
+
+    def richardson(sa, fa, sb, fb):
+        return (sa * fb - sb * fa) / (sa - sb)
+
+    ra = richardson(p[0], f0, p[1], f1)
+    rb = richardson(p[1], f1, p[2], f2)
+    if abs(ra - rb) > rtol * max(1.0, abs(rb)):
+        raise ExtrapolationError(
+            f"origin extrapolants disagree: {ra} vs {rb} (rtol={rtol})"
+        )
+    return float(rb.real)
+
+
 def _suite_end_gains(ctx):
-    kp, ki, xi = ctx["kp"], ctx["ki"], ctx["xi"]
-    if ki <= 0 or xi <= 0:
-        return [
-            CheckResult(
-                "end_gains",
-                "closed-form gain ratio",
-                False,
-                detail="ki and xi must be positive for sqrt(ki/xi)",
-            )
-        ]
+    # G = 1 - s kappa_rear + O(s**2): the closed forms, read off the
+    # coupling's coefficients, against numeric limits of the wave root
     coup = ctx["coupling"]
-    kf = kappa_front(coup)
-    kr = kappa_rear(coup)
+    kf, kr = kappa_front(coup), kappa_rear(coup)
+
+    def g(s):
+        return wave_tf_exact(eval_at(coup.tf, s))
+
+    head = origin_limit(lambda s: s / (g(s) - 1.0), END_GAIN_PROBES)
+    tail = origin_limit(lambda s: (1.0 - g(s)) / s, END_GAIN_PROBES)
     return [
-        _bounded(
-            "end_gains",
-            "head gain vs -sqrt(ki/xi)",
-            abs(kf + np.sqrt(ki / xi)),
-            1e-3,
-        ),
-        _bounded(
-            "end_gains",
-            "tail gain vs sqrt(xi/ki)",
-            abs(kr - np.sqrt(xi / ki)),
-            1e-2,
-        ),
+        _bounded("end_gains", "head gain vs -sqrt(ki/xi)", abs(kf - head), 1e-3),
+        _bounded("end_gains", "tail gain vs sqrt(xi/ki)", abs(kr - tail), 1e-3),
     ]
 
 

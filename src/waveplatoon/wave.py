@@ -79,25 +79,6 @@ def wave_tf_exact(coupling_value):
     return np.where(tie, big, small)[()]
 
 
-def wave_tf_exact_shifted(shift_value):
-    """Downstream wave transfer value from the coupling sample minus 2.
-
-    Equivalent to ``wave_tf_exact(shift_value + 2)`` but accurate when the
-    coupling sits within rounding distance of 2 (near s = 0), where forming
-    ``a*a - 4`` directly loses most significant digits. Solves the quadratic
-    for the deviation w = G - 1: ``w**2 - d*w - d = 0``.
-    """
-    d = complex(shift_value)
-    sq = np.sqrt(d * (d + 4.0))
-    lo, hi = (d - sq) / 2.0, (d + sq) / 2.0
-    g_lo, g_hi = 1.0 + lo, 1.0 + hi
-    small = g_lo if abs(g_lo) <= abs(g_hi) else g_hi
-    big = g_hi if small is g_lo else g_lo
-    if abs(abs(small) - 1.0) < 1e-9 and small.imag > 0:
-        return big
-    return small
-
-
 def wave_tf_pair(coupling_value):
     """Both wave roots (downstream, upstream); their product is 1.
     Elementwise over an array of coupling samples."""

@@ -42,6 +42,16 @@ def root_reference(a):
     return big if abs(abs(small) - 1.0) < 1e-9 and small.imag > 0 else small
 
 
+def deviation_reference(d):
+    """Per-point ``G - 1`` of the downstream wave root from the coupling
+    less 2, ``d = a - 2``: the root ``w`` of ``w**2 - d*w - d = 0`` with
+    the smaller ``|1 + w|``, solved without forming ``a*a - 4``, so it
+    keeps its digits where ``a`` is within rounding of 2 (near s = 0)."""
+    sq = cmath.sqrt(d * (d + 4.0))
+    lo, hi = (d - sq) / 2.0, (d + sq) / 2.0
+    return lo if abs(1.0 + lo) <= abs(1.0 + hi) else hi
+
+
 def ss_value(ss, s):
     """Per-point value ``C (sI - A)^-1 B + D`` of a realization, one solve
     (an empty one at order 0)."""

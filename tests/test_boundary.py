@@ -21,8 +21,9 @@ from waveplatoon.boundary import (
     squared_fir,
 )
 from waveplatoon.errors import IndexOutOfRange, InvalidConfig
-from waveplatoon.lti import eval_at
+from waveplatoon.lti import eval_at, tf_mul
 from waveplatoon.wave import (
+    CouplingRatio,
     coupling_from_gains,
     wave_fir,
     wave_tf_approx,
@@ -52,6 +53,16 @@ def test_absorption_null(nominal):
         g = wave_tf_exact(eval_at(c.tf, s))
         g_l = eval_at(ap.approx, s)
         assert abs(g * g_l - g * g) < 2e-2
+
+
+def test_end_gains_refuse_couplings_off_the_series():
+    # ki = -4 gives c = xi/ki < 0, and a coupling scaled by 1.001 is not 2
+    # at s = 0: neither has end gains, and both gains must say so
+    scaled = CouplingRatio(tf_mul(coupling_from_gains(4.0, 4.0, 4.0).tf, 1.001))
+    for c in (coupling_from_gains(4.0, -4.0, 4.0), scaled):
+        for gain in (kappa_front, kappa_rear):
+            with pytest.raises(InvalidConfig):
+                gain(c)
 
 
 def test_kappa_front_values():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from strategies import routh_gains
 
 from waveplatoon import lti, wave
-from waveplatoon.errors import EmptyTrace, InvalidConfig
+from waveplatoon.errors import EmptyTrace, ExtrapolationError, InvalidConfig
 from waveplatoon.metrics import (
     MetricsReport,
     collided,
@@ -17,7 +17,7 @@ from waveplatoon.metrics import (
 )
 from waveplatoon.sim import NoiseSpec, PlatoonConfig, ScenarioSpec, SimulationTrace, run_scenario
 from waveplatoon.sweep import acceleration_scenario, sweep, sweep_duration
-from waveplatoon.verify import SUITES, verify
+from waveplatoon.verify import SUITES, origin_limit, verify
 from waveplatoon.wave import CouplingRatio, coupling_from_gains, wave_tf_exact
 from waveplatoon.lti import eval_at, tf_mul
 
@@ -263,6 +263,26 @@ def test_verify_reflection_null_fails_on_wrong_coupling(monkeypatch):
     null = checks["exact reflection null"]
     assert not null.passed
     assert null.measured > 1e-4
+
+
+@pytest.mark.parametrize("gain", ("kappa_front", "kappa_rear"))
+def test_verify_end_gains_fail_on_wrong_closed_form(monkeypatch, gain):
+    # a gain 1% off its closed form fails its check against the numeric
+    # origin limit, and leaves the other check passing
+    right = getattr(VERIFY, gain)
+    monkeypatch.setattr(VERIFY, gain, lambda coupling: 1.01 * right(coupling))
+    checks = verify("end_gains").checks
+    assert [(c.suite, c.name) for c in checks] == list(PINNED_CHECKS[11:13])
+    assert [c.passed for c in checks] == (
+        [False, True] if gain == "kappa_front" else [True, False]
+    )
+
+
+def test_origin_limit():
+    a = lti.RationalTF([0.0, 2.0], [0.0, 1.0, 1.0])  # 2s/(s+s^2) -> 2
+    assert origin_limit(lambda s: eval_at(a, s)) == pytest.approx(2.0, rel=1e-6)
+    with pytest.raises(ExtrapolationError):
+        origin_limit(lambda s: 1.0 / s)
 
 
 def test_verify_subset_and_unknown():

@@ -14,7 +14,6 @@ from waveplatoon.lti import (
     eval_at,
     freq_response,
     impulse_response,
-    origin_limit,
     sample_count,
     tf_add,
     tf_inv,
@@ -22,12 +21,12 @@ from waveplatoon.lti import (
     to_state_space,
 )
 from waveplatoon.errors import (
-    ExtrapolationError,
     ImproperTF,
     PoleAtProbe,
     UnstablePoles,
     ZeroNumerator,
 )
+from waveplatoon.boundary import ChainModel, chain_tf_prediction
 from waveplatoon.sim import chain_state_space
 from waveplatoon.wave import coupling_from_gains, wave_tf_approx
 
@@ -161,13 +160,6 @@ def test_random_rational_identities():
         assert eval_at(a, s) == pytest.approx(direct)
 
 
-def test_origin_limit():
-    a = tf([0.0, 2.0], [0.0, 1.0, 1.0])  # 2s/(s+s^2) -> 2
-    assert origin_limit(lambda s: eval_at(a, s)) == pytest.approx(2.0, rel=1e-6)
-    with pytest.raises(ExtrapolationError):
-        origin_limit(lambda s: 1.0 / s)
-
-
 def test_to_state_space_matches_rational():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -255,6 +247,22 @@ def test_freq_response_grid_validation():
         freq_response(a, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         freq_response(a, np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_grid_check_refuses_non_finite_frequencies(bad):
+    # NaN passes both order tests and an infinite last point is increasing,
+    # so each grid evaluator must reject them on its own
+    approx = wave_tf_approx(coupling_from_gains(4.0, 4.0, 4.0), 5)
+    model = ChainModel(approx.coupling, 4, mode="approx", iterations=5)
+    evaluators = (
+        lambda w: freq_response(approx.approx, w),
+        to_state_space(approx.approx).freq_response,
+        chain_tf_prediction(model, "none", 3).from_front.freq_response,
+    )
+    for evaluate in evaluators:
+        with pytest.raises(ValueError):
+            evaluate(np.array([1.0, bad]))
 
 
 def test_freq_response_pole_on_grid():

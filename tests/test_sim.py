@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from strategies import routh_gains
 
@@ -8,7 +8,12 @@ from waveplatoon import sim
 
 from waveplatoon.errors import InvalidConfig, NonFiniteState
 from waveplatoon.lti import freq_response
-from waveplatoon.boundary import ChainModel, chain_tf_prediction, kappa_front
+from waveplatoon.boundary import (
+    ChainModel,
+    chain_tf_prediction,
+    kappa_front,
+    kappa_rear,
+)
 from waveplatoon.sim import (
     VARIANTS,
     Event,
@@ -206,9 +211,16 @@ def test_wave_gain_bounded_on_jw_axis(gains):
 
 @settings(max_examples=40, deadline=None)
 @given(gains=routh_gains())
+@example(gains=(4.0, 4.0, 4.0))
+@example(gains=(4.0, 1.0, 4.0))
+@example(gains=(4.0, 9.0, 4.0))  # outside routh_gains: xi*kp < 2*ki
 def test_head_gain_closed_form(gains):
+    # both end gains, read off the coupling's coefficients, against the
+    # friction plant's closed forms
     kp, ki, xi = gains
-    assert abs(kappa_front(coupling_from_gains(*gains)) + np.sqrt(ki / xi)) < 1e-3
+    c = coupling_from_gains(*gains)
+    assert kappa_front(c) == pytest.approx(-np.sqrt(ki / xi), rel=1e-12, abs=0)
+    assert kappa_rear(c) == pytest.approx(np.sqrt(xi / ki), rel=1e-12, abs=0)
 
 
 def test_velocity_step_scenario_settles():
@@ -622,6 +634,18 @@ def test_unstable_gains_raise(nominal_fir):
         )
         with pytest.raises(NonFiniteState):
             run_scenario(cfg, spec, fir=nominal_fir)
+
+
+@pytest.mark.parametrize("variant", ("front", "rear", "two_sided"))
+def test_spacing_change_without_end_gains_raises(nominal_fir, variant):
+    # unstable gains have no end gains, so an absorbing end cannot ramp to
+    # a new spacing; a velocity change alone runs until the guard (above)
+    cfg = PlatoonConfig(n_vehicles=3, ki=-50.0)
+    spec = ScenarioSpec(
+        duration=1.0, events=((0.5, "set_d_ref", 2.0),), variant=variant
+    )
+    with pytest.raises(InvalidConfig):
+        run_scenario(cfg, spec, fir=nominal_fir)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
