@@ -4,9 +4,11 @@ Online wave absorbers, the end gains and ramp slopes that turn velocity
 and spacing targets into end-vehicle ramp commands, and wave-model
 transfer functions of whole chains.
 
-An absorber is a linear filter of the neighbour samples it measures and
-the ramp values it sends. It keeps only the FIR histories of both; the
-caller owns the ramps and the clock and hands it the sent values.
+An absorber is a pair of linear filters: the wave FIR over the neighbour
+samples it measures and its echo taps over the ramp values it sends. Its
+equations here keep no state; whoever steps it owns both histories, the
+ramps and the clock. The per-tick steps hold them in windows of the FIR's
+length.
 """
 
 import math
@@ -87,45 +89,6 @@ class Ramp:
         return Ramp(slope, at, self(at))
 
 
-class FirBuffer:
-    """Bounded history of the most recent samples for causal FIR products.
-
-    Samples are appended oldest first. The buffer starts with ``size``
-    zeros (missing history counts as zero) and, when it fills, moves its
-    newest ``size - 1`` samples to the front, so any window over the newest
-    samples is one contiguous slice and memory stays bounded.
-    """
-
-    def __init__(self, size):
-        if size < 1:
-            raise ValueError("buffer size must be >= 1")
-        self.size = size
-        self._buf = np.zeros(4 * size)
-        self._end = size
-
-    def extend(self, values):
-        """Append samples, oldest first."""
-        count = len(values)
-        if self._end + count > len(self._buf):
-            keep = self.size - 1
-            newest = self._buf[self._end - keep : self._end].copy()
-            if keep + count > len(self._buf):
-                self._buf = np.zeros(2 * (keep + count))
-            self._buf[:keep] = newest
-            self._end = keep
-        self._buf[self._end : self._end + count] = values
-        self._end += count
-
-    def window(self, count):
-        """The newest ``size - 1 + count`` samples, oldest first: the FIR
-        products at the last ``count`` samples are
-        ``np.correlate(window, taps[::-1], "valid")``."""
-        start = self._end - self.size + 1 - count
-        if start < 0:
-            raise ValueError("window reaches past the kept history")
-        return self._buf[start : self._end]
-
-
 def squared_fir(fir):
     """FIR of the squared wave transfer: self-convolved taps, truncated back
     to the original length. The discarded tail must carry less than
@@ -141,83 +104,39 @@ def squared_fir(fir):
     return WaveFIR(taps=full[:keep].copy(), fs=fir.fs, span=fir.span)
 
 
-class AbsorberState:
-    """Online state for one wave-absorbing end vehicle: its two bounded
-    FIR histories.
-
-    One history holds the samples the absorber measures, which the wave
-    FIR filters into the incoming wave. The other holds the ramp values it
-    sends out, which ``echo_taps`` filter into the echo of its own
-    outgoing wave. The absorber keeps no clock and no ramp: whoever steps
-    it hands over the values it sends at each tick. Positions are
-    deviations from the starting pose.
-    """
-
-    def __init__(self, fir, echo_taps):
-        self.fir = fir
-        m = len(fir.taps)
-        self._samples = FirBuffer(m)
-        self._sent = FirBuffer(m)
-        # reversed once, so the echo over many ticks is one correlation
-        self._echo_rev = echo_taps[::-1].copy()
+# Both absorbers are linear filters of the samples they measure and the
+# ramp values they send. With ``h`` the wave FIR, ``e`` the end's echo taps
+# (``echo_taps``), ``r`` the sent ramp values and missing history zero,
+# tick ``k`` has the echo ``c_k = sum_i e_i r_{k-i}`` of the end's own
+# outgoing wave and gives (sums over the taps)
+#   head: y_k = measured_k,        u_k = r_k - c_k + sum_i h_i y_{k-i}
+#   tail: y_k = measured_k - c_k,  u_k = r_k + sum_i h_i y_{k-i}
+# So over any run of ticks the commands are ``known + lookback + T @ y``,
+# with ``y = measured + offset`` the samples of those ticks, ``T`` the
+# lower-triangular Toeplitz matrix of ``h`` and ``lookback`` ``h`` over the
+# ``len(h) - 1`` samples before them (``past_taps``). ``known`` and
+# ``offset`` depend on the sent values alone (``absorber_block``); the
+# caller owns both histories.
 
 
-def make_front_absorber(fir):
-    """Head absorber: its echo filter is the squared FIR with the current
-    tap zeroed, so it sees its own wave only up to the previous sample."""
-    echo = squared_fir(fir).taps
-    return AbsorberState(fir, np.concatenate([[0.0], echo[1:]]))
+def echo_taps(fir, end):
+    """Echo taps of the ``"front"`` or ``"rear"`` absorber. The head's are
+    the squared FIR with the current tap zeroed, so it sees its own wave
+    only up to the previous sample; the tail's are the wave FIR."""
+    if end == "front":
+        return np.concatenate([[0.0], squared_fir(fir).taps[1:]])
+    return fir.taps
 
 
-def make_rear_absorber(fir):
-    """Tail absorber: its echo filter is the wave FIR."""
-    return AbsorberState(fir, fir.taps)
-
-
-def _echo(state, sent):
-    """Record the ramp values sent over some ticks; return their echo."""
-    state._sent.extend(sent)
-    return np.correlate(state._sent.window(len(sent)), state._echo_rev, "valid")
-
-
-# Both absorbers are linear in the samples they measure. Over ticks in which
-# the absorber sends the ramp values ``sent``, its commands are
-# ``known + lookback + T @ y``, with ``y = measured + offset`` the samples
-# of those ticks and ``T`` the lower-triangular Toeplitz matrix of the wave
-# FIR. ``known`` and ``offset`` depend on ``sent`` alone, so ``*_block``
-# gives them for any number of ticks at once, many blocks included.
-# ``lookback`` is the wave FIR over the samples taken before a block:
-# ``absorber_past(state) @ past_taps(taps, count)``. Only it and the
-# block's own samples depend on the state, so they are what a stepper
-# works out block by block; ``absorber_commit`` then records the samples.
-# The per-tick steps are the one-tick case. With ``h`` the wave FIR, ``h2``
-# the squared FIR, ``r`` the sent ramp values and missing history zero,
-# tick ``k`` gives (sums over the taps)
-#   head: u_k = r_k + sum_i h_i y_{k-i} - sum_{i>=1} h2_i r_{k-i}
-#   tail: y_k = measured_k - sum_i h_i r_{k-i},
-#         u_k = r_k + sum_i h_i y_{k-i}
-
-
-def absorber_front_block(state, sent):
-    """The head absorber's known commands and sample offsets over ticks
-    that send ``sent``.
-
-    The head sends the reference ramp as its outgoing wave; its command is
-    the ramp plus the incoming wave (the filtered first-follower samples,
-    which the lookback and ``T`` add) minus the echo of its own past ramp.
-    """
-    return sent - _echo(state, sent), np.zeros(len(sent))
-
-
-def absorber_rear_block(state, sent):
-    """The tail absorber's known commands and sample offsets over ticks
-    that send ``sent``.
-
-    The tail sends the reference ramp; its sample is the neighbour's
-    position less the echo of that ramp, and its command is the ramp plus
-    that sample propagated one vehicle down (the lookback and ``T``).
-    """
-    return sent.copy(), -_echo(state, sent)
+def absorber_block(end, echo, window):
+    """An absorber's known commands and sample offsets over ticks that send
+    ramp values: ``window`` holds the ``len(echo) - 1`` values sent before
+    the ticks, then those of the ticks, oldest first."""
+    sent = window[len(echo) - 1 :]
+    echoed = np.correlate(window, echo[::-1], "valid")
+    if end == "front":
+        return sent - echoed, np.zeros(len(sent))
+    return sent.copy(), -echoed
 
 
 def past_taps(taps, count):
@@ -235,22 +154,38 @@ def past_taps(taps, count):
     return out
 
 
-def absorber_past(state):
-    """The ``len(fir.taps) - 1`` newest samples, oldest first."""
-    return state._samples.window(0)
+class AbsorberState:
+    """One absorber end stepped a tick at a time: its wave FIR, its echo
+    taps and its ``len(fir.taps)`` newest samples and sent ramp values,
+    oldest first and zero before the first tick. The newest slot of each
+    is the tick being stepped. Positions are deviations from the starting
+    pose."""
+
+    def __init__(self, fir, echo):
+        self.fir = fir
+        self.echo = echo
+        self.samples = np.zeros(len(fir.taps))
+        self.sent = np.zeros(len(echo))
 
 
-def absorber_commit(state, samples):
-    """Record a block's samples (measured plus offset)."""
-    state._samples.extend(samples)
+def make_front_absorber(fir):
+    """Per-tick state of the head absorber."""
+    return AbsorberState(fir, echo_taps(fir, "front"))
 
 
-def _absorber_step(block, state, measured, sent):
-    known, offset = block(state, np.array([sent], dtype=float))
-    sample = measured + offset[0]
-    lookback = absorber_past(state) @ past_taps(state.fir.taps, 1)[:, 0]
-    command = known[0] + lookback + state.fir.taps[0] * sample
-    absorber_commit(state, (sample,))
+def make_rear_absorber(fir):
+    """Per-tick state of the tail absorber."""
+    return AbsorberState(fir, echo_taps(fir, "rear"))
+
+
+def _absorber_step(end, state, measured, sent):
+    # the one-tick case of ``absorber_block``; both windows then move on
+    state.sent[-1] = sent
+    (known,), (offset,) = absorber_block(end, state.echo, state.sent)
+    state.samples[-1] = measured + offset
+    command = known + state.samples @ state.fir.taps[::-1]
+    state.sent[:-1] = state.sent[1:]
+    state.samples[:-1] = state.samples[1:]
     return command
 
 
@@ -262,7 +197,7 @@ def absorber_front_step(state, x1_sample, sent):
     echo of the absorber's own past output wave is subtracted, and the
     command adds the ramp value back on top.
     """
-    return _absorber_step(absorber_front_block, state, x1_sample, sent)
+    return _absorber_step("front", state, x1_sample, sent)
 
 
 def absorber_rear_step(state, x_prev_sample, sent):
@@ -273,7 +208,7 @@ def absorber_rear_step(state, x_prev_sample, sent):
     filtered history of the tail's own outgoing wave (the ramp), then
     propagated one vehicle down and stacked on the ramp value.
     """
-    return _absorber_step(absorber_rear_block, state, x_prev_sample, sent)
+    return _absorber_step("rear", state, x_prev_sample, sent)
 
 
 VARIANTS = ("none", "front", "rear", "two_sided")

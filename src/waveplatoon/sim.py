@@ -22,9 +22,10 @@ events and the end of the run. The absorbers are linear in the samples
 they measure, so the FIR feedback within a block is a unit lower-triangular
 linear system, solved once per run into precomputed maps. These give every
 tick's commands and velocities, the block's samples and the state at its
-end; the absorbers' FIR histories enter as known terms. The simulator owns
-the ramps and the tick clock and hands every absorber the ramp values it
-sends.
+end; the FIR over the samples before a block enters as a known term. The
+simulator owns the ramps, the tick clock and both histories of every
+absorber, its samples and its sent ramp values, in two rolling arrays that
+``boundary``'s stateless equations read.
 Every run advances its consecutive full blocks a chunk at a time. What the
 state does not touch is worked out once per chunk: the reference inputs,
 the noise, and each absorber's ramp and the echo of it. Only the
@@ -40,19 +41,15 @@ from typing import NamedTuple
 import numpy as np
 from dataclasses import dataclass
 
-# the per-tick steps stay importable here
+# the per-tick steps are looked up here by tracers that time them
 from .boundary import absorber_front_step, absorber_rear_step  # noqa: F401
 from .boundary import (
     VARIANTS,
     Ramp,
-    absorber_commit,
-    absorber_front_block,
-    absorber_past,
-    absorber_rear_block,
+    absorber_block,
+    echo_taps,
     kappa_front,
     kappa_rear,
-    make_front_absorber,
-    make_rear_absorber,
     past_taps,
     ramp_slopes,
 )
@@ -384,17 +381,16 @@ CHUNK_BLOCKS = 128
 class _Channel(NamedTuple):
     """One absorber end as the block stepper sees it.
 
-    ``block`` is the absorber's ``absorber_*_block`` function and ``state``
-    its ``AbsorberState``, which holds only FIR histories. The absorber
-    sends the values of the ``_ReferenceTracker`` ramp named ``ramp`` at
-    the block's ticks. The command written to ``z[fresh]`` is ``command0``
-    plus the absorber's output; the absorber measures ``z[row] - sample0``
-    plus, when ``noise`` is a column index, that tick's noise draw.
+    ``end`` is ``"front"`` or ``"rear"``: the absorber sends the values of
+    that end's ``_ReferenceTracker`` ramp and filters them through its
+    ``echo`` taps (``boundary.absorber_block``). The command written to
+    ``z[fresh]`` is ``command0`` plus the absorber's output; the absorber
+    measures ``z[row] - sample0`` plus, when ``noise`` is a column index,
+    that tick's noise draw.
     """
 
-    state: object
-    block: object
-    ramp: str
+    end: str
+    echo: np.ndarray
     fresh: int
     row: int
     noise: object
@@ -580,8 +576,8 @@ def run_scenario(config, scenario, fir=None):
     full blocks go through those maps in chunks of up to ``CHUNK_BLOCKS``;
     a block cut short by an event or the run's end takes the leading part
     of the same maps. Each chunk or short block draws its noise and
-    samples its ramps in one call, and is checked whole before the
-    absorbers record its samples: the divergence guard sees every
+    samples its ramps in one call, and is checked whole before its
+    samples join the absorber histories: the divergence guard sees every
     vehicle's velocity at every tick.
     """
     m = config.n_vehicles
@@ -606,8 +602,8 @@ def run_scenario(config, scenario, fir=None):
     channels = []
     if front_abs:
         channels.append(_Channel(
-            make_front_absorber(fir), absorber_front_block, "front_ramp",
-            dyn.front_fresh, 3, None, x_first0, z[3],
+            "front", echo_taps(fir, "front"), dyn.front_fresh, 3, None,
+            x_first0, z[3],
         ))
         # the command that drove the plant into the current sample; a
         # commanded end's instantaneous velocity is its controller output
@@ -615,8 +611,8 @@ def run_scenario(config, scenario, fir=None):
         z[dyn.front_held] = x_first0
     if rear_abs:
         channels.append(_Channel(
-            make_rear_absorber(fir), absorber_rear_block, "rear_ramp",
-            dyn.rear_fresh, 3 * (m - 2), m - 2, x_last0, z[3 * (m - 2)],
+            "rear", echo_taps(fir, "rear"), dyn.rear_fresh, 3 * (m - 2),
+            m - 2, x_last0, z[3 * (m - 2)],
         ))
         z[dyn.rear_held] = x_last0
 
@@ -640,6 +636,11 @@ def run_scenario(config, scenario, fir=None):
     )
     command0 = np.array([ch.command0 for ch in channels])
     sample0 = np.array([ch.sample0 for ch in channels])
+    # each channel's samples and sent ramp values: the ``span`` before a
+    # chunk, then the chunk's; the newest ``span`` move to the front after it
+    span = blocks.span
+    samples = np.zeros((c, span + CHUNK_BLOCKS * stride))
+    sent = np.zeros_like(samples)
 
     ctrl_dt = 1.0 / config.fs_ctrl
     n_ctrl = _event_tick(scenario.duration, config.fs_ctrl)
@@ -686,22 +687,22 @@ def run_scenario(config, scenario, fir=None):
         if rng is not None:
             noise = inject_noise(rng, sigma2, (nb * j, noise_cols))
             feed[:, :, :noise_cols] = noise.reshape(nb, j, noise_cols)
-        hist = np.empty((c, blocks.span + nb * j))
+        size = span + nb * j
         if channels:
             times = (t[:, None] + np.arange(j) / config.fs_ctrl).ravel()
             for i, ch in enumerate(channels):
-                known, offset = ch.block(ch.state, getattr(refs, ch.ramp).sample(times))
+                sent[i, span:size] = getattr(refs, ch.end + "_ramp").sample(times)
+                known, offset = absorber_block(ch.end, ch.echo, sent[i, :size])
                 feed[:, :, noise_cols + i] = (known + command0[i]).reshape(nb, j)
                 feed[:, :, noise_cols + c + i] = (offset - sample0[i]).reshape(nb, j)
-                hist[i, : blocks.span] = absorber_past(ch.state)
         # a diverging chunk may overflow; the guard reports it
         with np.errstate(over="ignore", invalid="ignore"):
             advance = blocks.chunk if j == stride else blocks.step
-            rows, end = advance(z, ref, x, hist)
-        samples = hist[:, blocks.span :]
+            rows, end = advance(z, ref, x, samples[:, :size])
         if k < n_ctrl:
             speeds = rows[:, :, c:]
-            _guard(np.abs(speeds, out=speeds).max(), x, rows[:, :, :c], samples, end)
+            _guard(np.abs(speeds, out=speeds).max(), x, rows[:, :, :c],
+                   samples[:, span:size], end)
 
         sampled = starts % out_every == 0
         states = x[sampled, : dyn.dim]
@@ -715,8 +716,8 @@ def run_scenario(config, scenario, fir=None):
         row += len(states)
         if k == n_ctrl:
             break
-        for ch, y in zip(channels, samples):
-            absorber_commit(ch.state, y)
+        samples[:, :span] = samples[:, size - span : size]
+        sent[:, :span] = sent[:, size - span : size]
         z = end
         k += nb * j
 

@@ -65,3 +65,35 @@ def same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and (
         got.tobytes() == want.tobytes())
+
+
+def _dot(taps, history):
+    """``sum_i taps[i] * history[-1 - i]`` over the history there is."""
+    recent = history[-len(taps):][::-1]
+    return float(np.dot(taps[: len(recent)], recent))
+
+
+class ReferenceAbsorber:
+    """An absorber written from the equations in ``boundary``'s comments,
+    with plain lists of its past samples and sent ramp values. With ``h``
+    the wave FIR, ``h2`` the squared FIR (the head's echo taps past tap 0)
+    and missing history zero, tick ``k`` gives
+    head: u_k = r_k + sum_i h_i y_{k-i} - sum_{i>=1} h2_i r_{k-i}
+    tail: y_k = measured_k - sum_i h_i r_{k-i}, u_k = r_k + sum_i h_i y_{k-i}
+    """
+
+    def __init__(self, taps, head):
+        self.taps = taps
+        self.head = head
+        self.squared = np.convolve(taps, taps)[: len(taps)]
+        self.samples, self.sent = [], []
+
+    def step(self, measured, sent):
+        if self.head:
+            echo = _dot(self.squared[1:], self.sent)
+            self.sent.append(sent)
+            self.samples.append(measured)
+            return sent + _dot(self.taps, self.samples) - echo
+        self.sent.append(sent)
+        self.samples.append(measured - _dot(self.taps, self.sent))
+        return sent + _dot(self.taps, self.samples)

@@ -435,9 +435,13 @@ def test_criterion_10_determinism_and_step_refinement(tmp_path):
         )
         finals[dt] = run_scenario(config, accel).positions[-1]
     shift = float(np.abs(finals[0.01] - finals[0.005]).max())
+    # the shift is roundoff, so its digits change under any exact rewrite;
+    # the line states it against a floor and shows it only above that
+    floor = 1e-10
+    shown = f"below {floor:.0e} m" if shift < floor else f"{shift:.2e} m"
     _verdict(
         "criterion 10",
         identical and shift < 1e-4,
         f"seeded traces byte-identical: {identical}; max final-position "
-        f"shift from halving the step {shift:.2e} m (bound 1e-4)",
+        f"shift from halving the step {shown} (bound 1e-4)",
     )

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from strategies import jw_grids, rel_err, root_reference, routh_gains
+from strategies import (
+    ReferenceAbsorber,
+    jw_grids,
+    rel_err,
+    root_reference,
+    routh_gains,
+)
 
 from waveplatoon.boundary import (
     VARIANTS,
-    AbsorberState,
     ChainModel,
-    FirBuffer,
     Ramp,
     absorber_front_step,
     absorber_rear_step,
@@ -101,53 +105,6 @@ def test_ramp_piecewise():
     assert r2(4.0) == pytest.approx(2.0 + 0.5 * 2.0)
 
 
-def _newest_fir_product(buf, taps):
-    """The FIR product at the newest sample, as the absorbers form it."""
-    (value,) = np.correlate(buf.window(1), taps[::-1], "valid")
-    return value
-
-
-def test_fir_buffer_matches_full_convolution():
-    rng = np.random.default_rng(2)
-    taps = rng.normal(size=9)
-    buf = FirBuffer(9)
-    hist = []
-    for x in rng.normal(size=40):
-        buf.extend((x,))
-        hist.append(x)
-        want = sum(
-            taps[j] * hist[-1 - j] for j in range(min(9, len(hist)))
-        )
-        assert _newest_fir_product(buf, taps) == pytest.approx(want)
-
-
-def test_fir_buffer_short_history_zero_padded():
-    buf = FirBuffer(3)
-    taps = np.array([1.0, 2.0, 3.0])
-    buf.extend((5.0,))
-    assert _newest_fir_product(buf, taps) == pytest.approx(5.0)
-    buf.extend((1.0, 5.0))
-    assert _newest_fir_product(buf, taps) == pytest.approx(5.0 + 2.0 + 3.0 * 5.0)
-
-
-def test_fir_buffer_block_window_matches_numpy():
-    # blocks of uneven length, enough of them that the buffer moves its
-    # newest samples to the front several times and once grows
-    rng = np.random.default_rng(5)
-    taps = rng.normal(size=12)
-    buf = FirBuffer(12)
-    hist = np.zeros(0)
-    for count in [1, 7, 30, 3, 60, 12] * 4:
-        block = rng.normal(size=count)
-        buf.extend(block)
-        hist = np.concatenate([hist, block])
-        want = np.convolve(hist, taps)[len(hist) - count : len(hist)]
-        got = np.correlate(buf.window(count), taps[::-1], "valid")
-        assert got == pytest.approx(want)
-    with pytest.raises(ValueError):
-        buf.window(len(hist))
-
-
 def test_squared_fir(nominal_fir):
     sq = squared_fir(nominal_fir)
     assert len(sq.taps) == len(nominal_fir.taps)
@@ -187,6 +144,36 @@ def test_front_absorber_initial_slope(nominal_fir):
 def test_rear_absorber_quiet(nominal_fir):
     state = make_rear_absorber(nominal_fir)
     assert absorber_rear_step(state, 0.0, 0.0) == 0.0
+
+
+# 11 taps at 1 Hz over 10 s: short enough to step through several spans,
+# long enough that the squared FIR drops under 0.1% of its mass
+SHORT_FIR = wave_fir(wave_tf_approx(coupling_from_gains(4.0, 4.0, 4.0)), 1.0, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    head=st.booleans(),
+    ticks=st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        min_size=1, max_size=6 * len(SHORT_FIR.taps),
+    ),
+)
+@example(head=True, ticks=[(0.0, 1.0)] + [(-2.0, 0.5)] * 54)
+@example(head=False, ticks=[(float(k % 7), float(k)) for k in range(55)])
+def test_absorber_steps_match_reference(head, ticks):
+    # random measured samples and ramp values, tick for tick against the
+    # absorber written from its equations
+    make, step = (
+        (make_front_absorber, absorber_front_step) if head
+        else (make_rear_absorber, absorber_rear_step)
+    )
+    state = make(SHORT_FIR)
+    ref = ReferenceAbsorber(SHORT_FIR.taps, head=head)
+    scale = max(1.0, *(abs(v) for tick in ticks for v in tick))
+    for measured, sent in ticks:
+        got = step(state, measured, sent)
+        assert abs(got - ref.step(measured, sent)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("length,count", [(1501, 10), (4, 7), (1, 3)])

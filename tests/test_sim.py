@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
-from strategies import routh_gains
+from strategies import ReferenceAbsorber, routh_gains
 
 from waveplatoon import sim
 
@@ -321,38 +321,6 @@ def test_decimated_fold_property(n, k, seed, event_tick):
     _assert_decimation_exact(cfg, spec, k)
 
 
-def _dot(taps, history):
-    """``sum_i taps[i] * history[-1 - i]`` over the history there is."""
-    recent = history[-len(taps):][::-1]
-    return float(np.dot(taps[: len(recent)], recent))
-
-
-class _ReferenceAbsorber:
-    """An absorber written from the equations in ``boundary``'s comments,
-    with plain lists of its past samples and sent ramp values. With ``h``
-    the wave FIR, ``h2`` the squared FIR and missing history zero, tick
-    ``k`` gives
-    head: u_k = r_k + sum_i h_i y_{k-i} - sum_{i>=1} h2_i r_{k-i}
-    tail: y_k = measured_k - sum_i h_i r_{k-i}, u_k = r_k + sum_i h_i y_{k-i}
-    """
-
-    def __init__(self, taps, head):
-        self.taps = taps
-        self.head = head
-        self.squared = np.convolve(taps, taps)[: len(taps)]
-        self.samples, self.sent = [], []
-
-    def step(self, measured, sent):
-        if self.head:
-            echo = _dot(self.squared[1:], self.sent)
-            self.sent.append(sent)
-            self.samples.append(measured)
-            return sent + _dot(self.taps, self.samples) - echo
-        self.sent.append(sent)
-        self.samples.append(measured - _dot(self.taps, self.sent))
-        return sent + _dot(self.taps, self.samples)
-
-
 def _per_tick_reference(config, spec, fir):
     """``run_scenario`` one control tick at a time: the tick map, its noise
     block and absorbers written from their equations, sampled every
@@ -366,10 +334,10 @@ def _per_tick_reference(config, spec, fir):
     refs = sim._ReferenceTracker(config, variant)
     front = rear = None
     if variant in ("front", "two_sided"):
-        front = _ReferenceAbsorber(fir.taps, head=True)
+        front = ReferenceAbsorber(fir.taps, head=True)
         z[dyn.front_held] = x0[0]
     if variant in ("rear", "two_sided"):
-        rear = _ReferenceAbsorber(fir.taps, head=False)
+        rear = ReferenceAbsorber(fir.taps, head=False)
         z[dyn.rear_held] = x0[n - 3]
     rng = np.random.default_rng(spec.noise.seed)
     events = list(spec.events)
@@ -442,10 +410,12 @@ def test_block_stepper_matches_per_tick_reference(
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_block_stepper_matches_reference_over_long_run(nominal_fir, variant):
-    # 12 001 ticks: each absorber history (1501 taps in a buffer of 4*1501
-    # samples that starts with 1501 zeros) moves its newest samples to the
-    # front several times. The run crosses many chunks of full blocks,
-    # with partial blocks at both events and at the end.
+    # 12 001 ticks: each absorber's two rolling arrays hold the 1500 values
+    # before a chunk, then up to CHUNK_BLOCKS * 9 = 1152 of the chunk's,
+    # and move their newest 1500 to the front after every chunk; over the
+    # run they wrap about 8 times past the 1501-tap span. The run crosses
+    # many chunks of full blocks, with partial blocks at both events and at
+    # the end.
     cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
     spec = ScenarioSpec(
         duration=120.0,
