@@ -17,12 +17,17 @@ the RK4 samples of the inputs are exact and the matrix carries the ramp
 forward itself. Distance noise enters through one precomputed block per
 tick.
 
-A run advances in blocks of ticks that end at output samples, reference
-events and the end of the run. The absorbers are linear in the samples
-they measure, so the FIR feedback within a block is a unit lower-triangular
-linear system, solved once per run into precomputed maps. These give every
-tick's commands and velocities, the block's samples and the state at its
-end; the FIR over the samples before a block enters as a known term. The
+A run advances in blocks of ticks. A full block starts on an output
+sample and may span several output intervals: its length, the run's
+stride, is sized by what a block costs (``_block_stride``), not by the
+output grid. Blocks also end at reference events and the end of the run,
+and a block that starts off the output grid ends at the next output
+sample. The absorbers are linear in the samples they measure, so the FIR
+feedback within a block is a unit lower-triangular linear system, solved
+once per run into precomputed maps. These give every tick's commands and
+velocities, the positions at the block's output samples after its first,
+the block's samples and the state at its end; the FIR over the samples
+before a block enters as a known term. The
 simulator owns the ramps, the tick clock and both histories of every
 absorber, its samples and its sent ramp values, in two rolling arrays that
 ``boundary``'s stateless equations read.
@@ -36,6 +41,7 @@ readout of the augmented state, shared by the trace and the check of every
 tick against ``VELOCITY_LIMIT``.
 """
 
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -79,8 +85,11 @@ class PlatoonConfig:
     fs_ctrl: float = 100.0
 
     def __post_init__(self):
-        if self.n_vehicles < 2:
-            raise InvalidConfig("a platoon needs at least two vehicles")
+        if not isinstance(self.n_vehicles, Integral) or self.n_vehicles < 2:
+            raise InvalidConfig("a platoon needs a whole number, >= 2, of vehicles")
+        values = (self.kp, self.ki, self.xi, self.d_ref0, self.dt, self.fs_ctrl)
+        if not np.isfinite(values).all():
+            raise InvalidConfig("gains, d_ref0, dt and fs_ctrl must be finite")
         if self.dt <= 0 or self.fs_ctrl <= 0:
             raise InvalidConfig("dt and fs_ctrl must be positive")
         sub = 1.0 / (self.fs_ctrl * self.dt)
@@ -106,6 +115,8 @@ class Event:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise InvalidConfig(f"unknown event kind {self.kind!r}")
+        if not np.isfinite([self.time, self.value]).all():
+            raise InvalidConfig("event time and value must be finite")
 
 
 @dataclass(frozen=True)
@@ -132,12 +143,12 @@ class ScenarioSpec:
     out_every: int = 1
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise InvalidConfig("duration must be positive")
+        if not (np.isfinite(self.duration) and self.duration > 0):
+            raise InvalidConfig("duration must be finite and positive")
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"unknown variant {self.variant!r}")
-        if self.out_every < 1:
-            raise InvalidConfig("out_every must be >= 1")
+        if not isinstance(self.out_every, Integral) or self.out_every < 1:
+            raise InvalidConfig("out_every must be a whole number >= 1")
         events = tuple(
             e if isinstance(e, Event) else Event(*e) for e in self.events
         )
@@ -371,8 +382,9 @@ class _ReferenceTracker:
         self.rear_ramp = self.rear_ramp.continued(wr, t)
 
 
-# the block maps hold each tick's rows over every input of a stride; the
-# stride is capped so that they stay under this many floats (32 MB)
+# the arrays a run's block maps keep hold each tick's rows over every input
+# of a stride; ``_block_stride`` keeps them under this many floats (32 MB)
+# unless one tick alone needs more
 JUMP_MAP_FLOATS = 1 << 22
 # a run advances up to this many consecutive full blocks per chunk
 CHUNK_BLOCKS = 128
@@ -415,10 +427,12 @@ class _BlockMaps:
     where ``lookback`` holds each channel's ``stride`` values in turn.
     Forward substitution (the unit lower-triangular solve of the feedback)
     builds these maps once: ``full`` stacks a stride's per-tick rows
-    ``[commands, velocities]``, then its end state and each channel's
-    samples. The maps are causal, so a shorter ``j``-tick block takes the
-    leading rows of the same maps, and its end state comes from the
-    commands tick by tick through ``tick``.
+    ``[commands, velocities]``, then the positions at each interior output
+    sample (every ``every`` ticks after the block's start), then its end
+    state and each channel's samples. The maps are causal, so a shorter
+    ``j``-tick block takes the leading rows of the same maps and the
+    positions at its own interior samples, and its end state comes from
+    the commands tick by tick through ``tick``.
 
     ``chunk`` advances many full blocks with the same maps. The inputs
     known before the chunk enter through one product; the reference slots
@@ -428,14 +442,15 @@ class _BlockMaps:
     the lookback of each block run block by block.
     """
 
-    def __init__(self, dyn, stride, channels, noisy, taps, ref_slots):
+    def __init__(self, dyn, stride, every, channels, noisy, taps, ref_slots):
         self.dim = dim = dyn.dim
-        m = dyn.config.n_vehicles
+        self.m = m = dyn.config.n_vehicles
         self.c = c = len(channels)
         self.k = k = m - 1 if noisy else 0
         self.q = q = k + 2 * c
         self.r = r = c + m
         self.stride = stride
+        self.every = every
         self.ref_slots = ref_slots
         fresh = [ch.fresh for ch in channels]
         a = dyn.tick_map.copy()
@@ -450,6 +465,8 @@ class _BlockMaps:
         samples = np.zeros((stride, c, cols))
         rows = np.zeros((stride, r, cols))
         sample_rows = [ch.row for ch in channels]
+        interior = range(every, stride, every)
+        positions = []
         for i in range(stride):
             w = dim + i * q
             samples[i] = coef[sample_rows]
@@ -462,8 +479,11 @@ class _BlockMaps:
             coef = a @ coef + inputs @ np.vstack([np.eye(k, cols, w), u])
             rows[i, :c] = u
             rows[i, c:] = dyn.velocity_rows @ coef
+            if i + 1 in interior:
+                positions.append(coef[0 : dyn.n_states : 3])
         full = np.vstack([
             rows.reshape(stride * r, cols),
+            *positions,
             coef,
             samples.transpose(1, 0, 2).reshape(c * stride, cols),
         ])
@@ -471,7 +491,8 @@ class _BlockMaps:
         kappa = (dim + k + np.arange(c)[:, None] + q * np.arange(stride)).ravel()
         self.head = head = dim + c * stride
         self.full = np.hstack([full[:, :dim], full[:, kappa], full[:, dim:]])
-        self.next = self.full[stride * r :]
+        self.readout = stride * r + len(positions) * m
+        self.next = self.full[self.readout :]
         self.carry = self.next[:, :head].copy()
         self.carry[:, ref_slots] = 0.0
         self.past = past_taps(taps, stride)
@@ -485,8 +506,9 @@ class _BlockMaps:
         channel's row of ``hist`` starts with the ``span`` samples before
         the chunk and takes the chunk's samples after them. ``x`` gets
         each block's ``z`` (with its reference slots) and lookback.
-        Returns every tick's ``[commands, velocities]`` and ``z`` after the
-        last block.
+        Returns every tick's ``[commands, velocities]``, each block's
+        positions at its interior output samples and ``z`` after the last
+        block.
         """
         dim, head, c, s, span = self.dim, self.head, self.c, self.stride, self.span
         u = (ref @ self.next[:, self.ref_slots].T
@@ -501,14 +523,17 @@ class _BlockMaps:
             hist[:, span + b * s : span + (b + 1) * s] = out[dim:].reshape(c, s)
             z = out[:dim]
         x[:, self.ref_slots] = ref
-        rows = x @ self.full[: s * self.r].T
-        return rows.reshape(len(x), s, self.r), z
+        out = x @ self.full[: self.readout].T
+        ticks = s * self.r
+        return (out[:, :ticks].reshape(len(x), s, self.r),
+                out[:, ticks:].reshape(len(x), -1, self.m), z)
 
     def step(self, z, ref, x, hist):
         """One block of ``j`` ticks, fewer than a stride or the run's last
         tick, with ``ref``, ``x`` and ``hist`` laid out as for ``chunk``
         (one row of ``x``, ``j`` samples after the ``span`` in ``hist``).
-        Returns the block's rows as ``chunk`` does and ``z`` at its end."""
+        Returns the block's rows and interior positions as ``chunk`` does
+        and ``z`` at its end."""
         dim, head, c, k, q, s = self.dim, self.head, self.c, self.k, self.q, self.stride
         span = self.span
         j = hist.shape[1] - span
@@ -518,6 +543,9 @@ class _BlockMaps:
         xb[dim:head].reshape(c, s)[:, :j] = hist[:, :span] @ self.past[:, :j]
         cols = head + j * q
         rows = (self.full[: j * self.r, :cols] @ xb[:cols]).reshape(j, self.r)
+        first = s * self.r
+        inner = first + (j - 1) // self.every * self.m
+        positions = self.full[first:inner, :cols] @ xb[:cols]
         if c:
             samples = self.next[dim:, :cols] @ xb[:cols]
             hist[:, span:] = samples.reshape(c, s)[:, :j]
@@ -525,19 +553,54 @@ class _BlockMaps:
         noise = xb[head:cols].reshape(j, q)[:, :k]
         for w, u in zip(noise, rows[:, :c]):
             z = self.tick @ np.concatenate([z, w, u])
-        return rows[None], z
+        return rows[None], positions.reshape(1, -1, self.m), z
 
 
-def _block_stride(out_every, dim, rows, cols):
-    """Largest stride up to ``out_every`` whose maps fit JUMP_MAP_FLOATS:
-    ``rows`` and ``cols`` per tick, over ``dim`` state rows and columns."""
+def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
+    """Ticks per block, from the run's shape: ``n_ctrl`` ticks, ``dim``
+    state slots, ``m`` vehicles, ``c`` absorber channels, ``k`` noise
+    columns and an FIR lookback of ``span`` samples.
 
-    def floats(b):
-        return (b * rows + dim) * (dim + b * cols)
+    Longer blocks take fewer steps of the run's Python loop, but their
+    maps take longer to build and are wider to read out. A block's maps have ``2c + m`` rows
+    per tick (commands, velocities and samples) and ``dim + stride *
+    (c + q)`` columns: the state, then per tick each channel's lookback
+    and ``q = k + 2c`` inputs. The stride is the largest multiple of
+    ``out_every`` at which
+
+    - the map build, ``stride`` products of ``dim**2`` by those columns,
+      is no more work than the ``n_ctrl / stride`` block steps, each a
+      carry product and a lookback over ``span`` samples per channel; and
+    - the part of each tick's readout that grows with the stride, its
+      rows over the input columns, is no more work than the part that
+      does not: its rows over the state, and the lookback.
+
+    It is at least ``out_every``, and its maps hold at most
+    JUMP_MAP_FLOATS floats: when ``out_every`` alone overflows them, the
+    stride is the largest below it that fits, down to one tick.
+    """
+    q = k + 2 * c
+
+    def floats(s):
+        # ``full`` (per-tick rows, interior positions, end state and
+        # samples over every input), ``carry``, ``past`` and ``tick``
+        rows = s * (c + m) + len(range(out_every, s, out_every)) * m + dim + c * s
+        return (rows * (dim + c * s + s * q) + (dim + c * s) ** 2 + span * s
+                + dim * (dim + k + c))
+
+    def pays(s):
+        build = s * dim * dim * (dim + s * (c + q))
+        steps = n_ctrl / s * ((dim + c * s) ** 2 + c * span * s)
+        grows = s * (c + q) * (2 * c + m)
+        return (build <= steps and grows <= (2 * c + m) * dim + c * span
+                and floats(s) <= JUMP_MAP_FLOATS)
 
     stride = max(min(out_every, JUMP_MAP_FLOATS // (dim * dim)), 1)
     while stride > 1 and floats(stride) > JUMP_MAP_FLOATS:
         stride -= 1
+    # a stride of out_every grows by whole output intervals
+    while stride % out_every == 0 and pays(stride + out_every):
+        stride += out_every
     return stride
 
 
@@ -569,13 +632,17 @@ def run_scenario(config, scenario, fir=None):
     every ``scenario.out_every`` control ticks. Event times and the
     duration must lie on the control grid.
 
-    The run advances in blocks that end at output samples, event ticks and
-    the end of the run. Within a block the absorbers' commands are linear
-    in the samples they measure, so precomputed maps give every tick's
-    commands and velocities and the state at the block's end. Consecutive
-    full blocks go through those maps in chunks of up to ``CHUNK_BLOCKS``;
-    a block cut short by an event or the run's end takes the leading part
-    of the same maps. Each chunk or short block draws its noise and
+    The run advances in blocks of ``_block_stride`` ticks, sized from the
+    run's shape; a stride above ``out_every`` is a multiple of it, so a
+    block from an output sample holds several. Within a block the
+    absorbers' commands are linear in the samples they measure, so
+    precomputed maps give every tick's commands and velocities, the
+    positions at the block's interior output samples and the state at its
+    end. Consecutive full blocks go through those maps in chunks of up to
+    ``CHUNK_BLOCKS``; a block cut short by an event or the run's end takes
+    the leading part of the same maps, and after an event off the output
+    grid a short block runs to the next output sample. Each chunk or short
+    block draws its noise and
     samples its ramps in one call, and is checked whole before its
     samples join the absorber histories: the divergence guard sees every
     vehicle's velocity at every tick.
@@ -622,17 +689,21 @@ def run_scenario(config, scenario, fir=None):
         sigma2 = scenario.noise.variance
         rng = np.random.default_rng(scenario.noise.seed)
 
+    ctrl_dt = 1.0 / config.fs_ctrl
+    n_ctrl = _event_tick(scenario.duration, config.fs_ctrl)
     out_every = scenario.out_every
     c = len(channels)
     noise_cols = m - 1 if rng is not None else 0
-    stride = _block_stride(out_every, dyn.dim, 2 * c + m, noise_cols + 3 * c)
+    taps = fir.taps if channels else np.zeros(1)
+    stride = _block_stride(
+        out_every, n_ctrl, dyn.dim, m, c, noise_cols, len(taps) - 1
+    )
     # the reference slots each block sets
     ref_slots = [] if front_abs else [dyn.ramp, dyn.ramp_slope]
     if not rear_abs:
         ref_slots.append(dyn.spacing)
     blocks = _BlockMaps(
-        dyn, stride, channels, rng is not None,
-        fir.taps if channels else np.zeros(1), ref_slots,
+        dyn, stride, out_every, channels, rng is not None, taps, ref_slots
     )
     command0 = np.array([ch.command0 for ch in channels])
     sample0 = np.array([ch.sample0 for ch in channels])
@@ -642,8 +713,6 @@ def run_scenario(config, scenario, fir=None):
     samples = np.zeros((c, span + CHUNK_BLOCKS * stride))
     sent = np.zeros_like(samples)
 
-    ctrl_dt = 1.0 / config.fs_ctrl
-    n_ctrl = _event_tick(scenario.duration, config.fs_ctrl)
     n_out = n_ctrl // out_every + 1
     t_out = np.empty(n_out)
     x_out = np.empty((n_out, m))
@@ -663,14 +732,17 @@ def run_scenario(config, scenario, fir=None):
         limit = n_ctrl
         if next_event < len(events):
             limit = min(limit, event_ticks[next_event])
-        next_out = (k // out_every + 1) * out_every
-        j = min(limit, k + stride, next_out) - k
+        # a block from an output sample runs a stride, one from off the
+        # output grid up to the next sample
+        gap = -k % out_every
+        j = min(limit - k, stride, gap or stride)
         nb = 1
         if j == stride:
             # full blocks follow one another up to the limit while they
-            # tile the output grid, else up to the next output sample
-            tiled = out_every % stride == 0 and (next_out - k) % stride == 0
-            last = limit if tiled else min(limit, next_out)
+            # keep to the output grid, else up to the next output sample
+            tiled = (stride % out_every == 0
+                     or out_every % stride == gap % stride == 0)
+            last = limit if tiled else min(limit, k + (gap or out_every))
             nb = min((last - k) // stride, CHUNK_BLOCKS)
         # the last tick is a one-tick block that gives its commands only
         j = max(j, 1)
@@ -698,22 +770,35 @@ def run_scenario(config, scenario, fir=None):
         # a diverging chunk may overflow; the guard reports it
         with np.errstate(over="ignore", invalid="ignore"):
             advance = blocks.chunk if j == stride else blocks.step
-            rows, end = advance(z, ref, x, samples[:, :size])
+            rows, inner, end = advance(z, ref, x, samples[:, :size])
         if k < n_ctrl:
             speeds = rows[:, :, c:]
-            _guard(np.abs(speeds, out=speeds).max(), x, rows[:, :, :c],
+            _guard(np.abs(speeds).max(), x, rows[:, :, :c],
                    samples[:, span:size], end)
 
+        # a block that starts on the output grid holds a sample every
+        # out_every ticks: its start state, then the positions the maps
+        # give, the velocities after the tick before and the tick's
+        # commands; a ramp-commanded head reads its ramp
         sampled = starts % out_every == 0
         states = x[sampled, : dyn.dim]
-        rows_out = slice(row, row + len(states))
-        t_out[rows_out] = t[sampled]
-        x_out[rows_out] = states[:, 0:n:3]
-        v_out[rows_out] = states @ dyn.velocity_rows.T
-        c_out[rows_out, 0] = rows[sampled, 0, 0] if front_abs else states[:, dyn.ramp]
+        ticks = starts[sampled, None] + np.arange(0, j, out_every)
+        out = slice(row, row + ticks.size)
+        t_out[out] = (ticks * ctrl_dt).ravel()
+        pos = x_out[out].reshape(*ticks.shape, m)
+        pos[:, 0] = states[:, 0:n:3]
+        pos[:, 1:] = inner[sampled]
+        vel = v_out[out].reshape(pos.shape)
+        vel[:, 0] = states @ dyn.velocity_rows.T
+        vel[:, 1:] = rows[sampled, out_every - 1 : j - 1 : out_every, c:]
+        cmd = c_out[out].reshape(*ticks.shape, 2)
+        if front_abs:
+            cmd[:, :, 0] = rows[sampled, ::out_every, 0]
+        else:
+            c_out[out, 0] = x_first0 + refs.front_ramp.sample(t_out[out])
         if rear_abs:
-            c_out[rows_out, 1] = rows[sampled, 0, c - 1]
-        row += len(states)
+            cmd[:, :, 1] = rows[sampled, ::out_every, c - 1]
+        row += ticks.size
         if k == n_ctrl:
             break
         samples[:, :span] = samples[:, size - span : size]

@@ -80,6 +80,40 @@ def test_scenario_validation():
     assert isinstance(spec.events[0], Event)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScenarioSpec(duration=_NAN),
+    lambda: ScenarioSpec(duration=float("inf")),
+    lambda: ScenarioSpec(duration=10.0, events=((_NAN, "set_v_ref", 1.0),)),
+    lambda: ScenarioSpec(duration=10.0, events=((1.0, "set_d_ref", _NAN),)),
+    lambda: PlatoonConfig(n_vehicles=5, kp=_NAN),
+    lambda: PlatoonConfig(n_vehicles=5, ki=_NAN),
+    lambda: PlatoonConfig(n_vehicles=5, xi=_NAN),
+    lambda: PlatoonConfig(n_vehicles=5, d_ref0=_NAN),
+    lambda: PlatoonConfig(n_vehicles=5, dt=_NAN),
+    lambda: ScenarioSpec(duration=10.0, out_every=2.5),
+    lambda: PlatoonConfig(n_vehicles=5.5),
+], ids=[
+    "nan-duration", "inf-duration", "nan-event-time", "nan-event-value",
+    "nan-kp", "nan-ki", "nan-xi", "nan-d_ref0", "nan-dt",
+    "fractional-out_every", "fractional-n_vehicles",
+])
+def test_bad_inputs_raise_invalid_config(make):
+    # each was once accepted here and failed later with another error (a
+    # ValueError or OverflowError from round, a TypeError from a float
+    # array shape) or ran a whole simulation into the divergence guard
+    with pytest.raises(InvalidConfig):
+        make()
+
+
+def test_numpy_integers_are_accepted():
+    cfg = PlatoonConfig(n_vehicles=np.int64(4))
+    spec = ScenarioSpec(duration=1.0, out_every=np.int32(10))
+    assert len(run_scenario(cfg, spec).t) == 11
+
+
 def _dynamics(gains, n, rear_commanded, dt=0.01):
     kp, ki, xi = gains
     cfg = PlatoonConfig(
@@ -392,9 +426,9 @@ def _assert_matches_reference(config, spec, fir):
 def test_block_stepper_matches_per_tick_reference(
     nominal_fir, variant, n, k, dt, seed, event_tick
 ):
-    # blocks end at output samples and at an event tick that sits off the
-    # output grid, so full and partial blocks both occur; without absorbers
-    # the full ones run in chunks
+    # full blocks start at output samples and may span several; an event
+    # tick that sits off the output grid cuts one short, so full and
+    # partial blocks both occur, and the full ones run in chunks
     if k > 1 and event_tick % k == 0:
         event_tick += 1
     cfg = PlatoonConfig(n_vehicles=n, dt=dt)
@@ -409,13 +443,23 @@ def test_block_stepper_matches_per_tick_reference(
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_block_stepper_matches_reference_over_long_run(nominal_fir, variant):
+def test_block_stepper_matches_reference_over_long_run(
+    monkeypatch, nominal_fir, variant
+):
     # 12 001 ticks: each absorber's two rolling arrays hold the 1500 values
-    # before a chunk, then up to CHUNK_BLOCKS * 9 = 1152 of the chunk's,
-    # and move their newest 1500 to the front after every chunk; over the
-    # run they wrap about 8 times past the 1501-tap span. The run crosses
-    # many chunks of full blocks, with partial blocks at both events and at
-    # the end.
+    # before a chunk, then up to CHUNK_BLOCKS strides of the chunk's (the
+    # strides here are 9 to 27 ticks), and move their newest 1500 to the
+    # front after every chunk; over the run they wrap about 8 times past
+    # the 1501-tap span. The run crosses several chunks of full blocks,
+    # with partial blocks at both events and at the end.
+    strides = []
+    init = sim._BlockMaps.__init__
+
+    def recorded(self, dyn, stride, *args):
+        strides.append(stride)
+        init(self, dyn, stride, *args)
+
+    monkeypatch.setattr(sim._BlockMaps, "__init__", recorded)
     cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
     spec = ScenarioSpec(
         duration=120.0,
@@ -425,8 +469,9 @@ def test_block_stepper_matches_reference_over_long_run(nominal_fir, variant):
         out_every=9,
     )
     assert 120.0 * cfg.fs_ctrl > 2 * (3 * len(nominal_fir.taps) + 1)
-    assert 120.0 * cfg.fs_ctrl > 2 * sim.CHUNK_BLOCKS * spec.out_every
     _assert_matches_reference(cfg, spec, nominal_fir)
+    (stride,) = strides
+    assert 120.0 * cfg.fs_ctrl > 2 * sim.CHUNK_BLOCKS * stride
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -446,6 +491,114 @@ def test_stride_below_out_every_matches_reference(
         out_every=10,
     )
     _assert_matches_reference(PlatoonConfig(n_vehicles=4), spec, nominal_fir)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noise"])
+@pytest.mark.parametrize("out_every", [1, 7])
+@pytest.mark.parametrize("times", [2, 3])
+def test_stride_above_out_every_matches_reference(
+    monkeypatch, nominal_fir, variant, noisy, out_every, times
+):
+    # a block of several output intervals reads its interior samples from
+    # the maps. The first event falls on the block tiling; the second falls
+    # off it and off the output grid, so the short block before it holds an
+    # interior sample too, and so does the short block at the run's end
+    stride = times * out_every
+    monkeypatch.setattr(sim, "_block_stride", lambda *args: stride)
+    ticks = (3 * stride, 7 * stride + out_every + 2)
+    spec = ScenarioSpec(
+        duration=8.0,
+        events=((ticks[0] / 100.0, "set_v_ref", 1.0),
+                (ticks[1] / 100.0, "set_d_ref", 1.4)),
+        noise=NoiseSpec(variance=0.05 if noisy else 0.0, seed=8),
+        variant=variant,
+        out_every=out_every,
+    )
+    _assert_matches_reference(PlatoonConfig(n_vehicles=4), spec, nominal_fir)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    variant=st.sampled_from(VARIANTS),
+    noisy=st.booleans(),
+    out_every=st.integers(1, 40),
+    n_ctrl=st.integers(1, 200_000),
+    budget=st.sampled_from([1 << 14, 1 << 16, 1 << 18]),
+)
+# the budget, not the run's length, ends the growth past out_every
+@example(n=14, variant="none", noisy=False, out_every=1, n_ctrl=200_000,
+         budget=1 << 14)
+# out_every alone overflows the budget
+@example(n=6, variant="two_sided", noisy=True, out_every=40, n_ctrl=5000,
+         budget=1 << 16)
+def test_block_stride_property(
+    nominal_fir, n, variant, noisy, out_every, n_ctrl, budget
+):
+    # the stride is a multiple of out_every once it exceeds it, and the
+    # arrays the block maps keep (the views into them aside) hold at most
+    # the budget, unless the stride is down to one tick
+    class Built(Exception):
+        pass
+
+    init = sim._BlockMaps.__init__
+
+    def built(self, *args):
+        init(self, *args)
+        raise Built(self)
+
+    spec = ScenarioSpec(
+        duration=n_ctrl / 100.0,
+        noise=NoiseSpec(variance=0.1, seed=1) if noisy else None,
+        variant=variant,
+        out_every=out_every,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "JUMP_MAP_FLOATS", budget)
+        mp.setattr(sim._BlockMaps, "__init__", built)
+        with pytest.raises(Built) as caught:
+            run_scenario(PlatoonConfig(n_vehicles=n), spec, fir=nominal_fir)
+    blocks = caught.value.args[0]
+    stride = blocks.stride
+    assert stride >= 1
+    if stride > out_every:
+        assert stride % out_every == 0
+    held = sum(
+        a.size for a in vars(blocks).values()
+        if isinstance(a, np.ndarray) and a.base is None
+    )
+    assert stride == 1 or held <= budget
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    variant=st.sampled_from(VARIANTS),
+    out_every=st.integers(1, 30),
+    n_ctrl=st.integers(1, 3000),
+    event=st.floats(0.0, 1.0),
+    fs_ctrl=st.sampled_from([100.0, 50.0]),
+)
+def test_trace_samples_every_out_every_ticks(
+    nominal_fir, n, variant, out_every, n_ctrl, event, fs_ctrl
+):
+    # one sample per output interval from tick 0 to the run's end, at the
+    # control clock's time of its tick, whatever blocks the run takes
+    cfg = PlatoonConfig(n_vehicles=n, dt=1.0 / fs_ctrl, fs_ctrl=fs_ctrl)
+    fir = nominal_fir if fs_ctrl == 100.0 else wave_fir(
+        wave_tf_approx(cfg.coupling()), fs_ctrl
+    )
+    spec = ScenarioSpec(
+        duration=n_ctrl / fs_ctrl,
+        events=((round(event * n_ctrl) / fs_ctrl, "set_v_ref", 1.0),),
+        variant=variant,
+        out_every=out_every,
+    )
+    trace = run_scenario(cfg, spec, fir=fir)
+    ticks = np.arange(n_ctrl // out_every + 1) * out_every
+    assert len(trace.t) == len(trace.positions) == len(ticks)
+    assert np.array_equal(trace.t, ticks * (1.0 / fs_ctrl))
 
 
 _GUARD_NOISE = ((None, "None"), (NoiseSpec(variance=0.2, seed=4), "noise1"))
@@ -621,12 +774,14 @@ def test_spacing_change_without_end_gains_raises(nominal_fir, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_full_blocks_never_step_alone(monkeypatch, nominal_fir, variant):
     # every full block goes through a chunk; ``step`` takes only the blocks
-    # up to and after the off-grid event and the run's last tick
-    calls = []
+    # that an event or the run's end cuts short, the block from the
+    # off-grid event to the next output sample, and the run's last tick
+    calls, strides = [], set()
     step = sim._BlockMaps.step
 
     def counted(self, *args):
         calls.append(args[-1].shape[1] - self.span)
+        strides.add(self.stride)
         return step(self, *args)
 
     monkeypatch.setattr(sim._BlockMaps, "step", counted)
@@ -637,8 +792,14 @@ def test_full_blocks_never_step_alone(monkeypatch, nominal_fir, variant):
         out_every=10,
     )
     run_scenario(PlatoonConfig(n_vehicles=5), spec, fir=nominal_fir)
-    # ticks 30-37 and 37-40 around the event at 0.37 s, and tick 12 000
-    assert sorted(calls) == [1, 3, 7]
+    (s,) = strides
+    assert s % 10 == 0
+    # full blocks from tick 0 up to the event at tick 37, ticks 37-40 up to
+    # the output grid, full blocks from 40 to the event at 6000 and from
+    # there to the end at 12 000; what a stride leaves of each run of full
+    # blocks steps alone, and so does tick 12 000
+    want = [37 % s, 3, (6000 - 40) % s, (12000 - 6000) % s, 1]
+    assert sorted(calls) == sorted(j for j in want if j)
 
 
 def test_chain_state_space_matches_wave_model():
