@@ -518,6 +518,34 @@ def test_stride_above_out_every_matches_reference(
     _assert_matches_reference(PlatoonConfig(n_vehicles=4), spec, nominal_fir)
 
 
+@pytest.mark.parametrize("variant", ["none", "two_sided"])
+def test_default_stride_matches_reference_on_noisy_platoon(
+    monkeypatch, nominal_fir, variant
+):
+    # a noisy 20-vehicle run at the stride the rule picks for it, with an
+    # event off the block tiling and the output grid at tick 337; the full
+    # blocks from tick 340 to 3000 fill more than one chunk
+    strides = []
+    init = sim._BlockMaps.__init__
+
+    def recorded(self, dyn, stride, *args):
+        strides.append(stride)
+        init(self, dyn, stride, *args)
+
+    monkeypatch.setattr(sim._BlockMaps, "__init__", recorded)
+    spec = ScenarioSpec(
+        duration=30.0,
+        events=((3.37, "set_v_ref", 1.0),),
+        noise=NoiseSpec(variance=1.0, seed=13),
+        variant=variant,
+        out_every=10,
+    )
+    _assert_matches_reference(PlatoonConfig(n_vehicles=20), spec, nominal_fir)
+    (stride,) = strides
+    assert stride % 10 == 0 and 337 % stride
+    assert (3000 - 340) // stride > sim.CHUNK_BLOCKS
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 14),
@@ -536,7 +564,8 @@ def test_stride_above_out_every_matches_reference(
 def test_block_stride_property(
     nominal_fir, n, variant, noisy, out_every, n_ctrl, budget
 ):
-    # the stride is a multiple of out_every once it exceeds it, and the
+    # the stride is a multiple of out_every once it exceeds it and a
+    # divisor of it below, so full blocks tile the output grid, and the
     # arrays the block maps keep (the views into them aside) hold at most
     # the budget, unless the stride is down to one tick
     class Built(Exception):
@@ -564,6 +593,8 @@ def test_block_stride_property(
     assert stride >= 1
     if stride > out_every:
         assert stride % out_every == 0
+    else:
+        assert out_every % stride == 0
     held = sum(
         a.size for a in vars(blocks).values()
         if isinstance(a, np.ndarray) and a.base is None
@@ -737,6 +768,15 @@ def test_inject_noise_contract():
     assert np.array_equal(inject_noise(rng, 0.0, 4), np.zeros(4))
     again = inject_noise(np.random.default_rng(5), 0.25, 7)
     assert np.array_equal(draws, again)
+
+
+@pytest.mark.parametrize("variance", [1.0, 0.37, 4.0])
+def test_inject_noise_draws_the_normal_stream(variance):
+    # the draws are the generator's normal stream at that deviation, so a
+    # seeded run's noise does not depend on how it is drawn
+    draws = inject_noise(np.random.default_rng(9), variance, (300, 19))
+    want = np.random.default_rng(9).normal(0.0, np.sqrt(variance), (300, 19))
+    assert np.array_equal(draws, want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
