@@ -6,9 +6,10 @@ transfer functions of whole chains.
 
 An absorber is a pair of linear filters: the wave FIR over the neighbour
 samples it measures and its echo taps over the ramp values it sends. Its
-equations here keep no state; whoever steps it owns both histories, the
-ramps and the clock. The per-tick steps hold them in windows of the FIR's
-length.
+equations here keep no state; whoever steps it owns the samples, the
+ramps and the clock. A ramp's echo has a closed form in the ramp's slope
+changes (``ramp_response``). The per-tick steps hold both histories in
+windows of the FIR's length.
 """
 
 import math
@@ -114,9 +115,13 @@ def squared_fir(fir):
 # So over any run of ticks the commands are ``known + lookback + T @ y``,
 # with ``y = measured + offset`` the samples of those ticks, ``T`` the
 # lower-triangular Toeplitz matrix of ``h`` and ``lookback`` ``h`` over the
-# ``len(h) - 1`` samples before them (``past_taps``). ``known`` and
-# ``offset`` depend on the sent values alone (``absorber_block``); the
-# caller owns both histories.
+# ``len(h) - 1`` samples before them (``past_taps``); ``known`` and
+# ``offset`` depend on the sent values alone. What an end sends is a ramp
+# from zero that bends only where its slope changes: a sum of hinges
+# ``ds_p * T * max(0, k - k_p)`` with ``T`` the tick. Its echo is then
+# ``T * sum_p ds_p * R[k - k_p]`` with ``R`` the taps' ramp response
+# (``ramp_response``), so no history of sent values is needed. The caller
+# owns the sample history; the per-tick steps below keep their own windows.
 
 
 def echo_taps(fir, end):
@@ -128,15 +133,34 @@ def echo_taps(fir, end):
     return fir.taps
 
 
-def absorber_block(end, echo, window):
-    """An absorber's known commands and sample offsets over ticks that send
-    ramp values: ``window`` holds the ``len(echo) - 1`` values sent before
-    the ticks, then those of the ticks, oldest first."""
-    sent = window[len(echo) - 1 :]
-    echoed = np.correlate(window, echo[::-1], "valid")
-    if end == "front":
-        return sent - echoed, np.zeros(len(sent))
-    return sent.copy(), -echoed
+def ramp_response(echo):
+    """The echo through taps ``echo`` of a unit-slope ramp that starts at
+    tick 0, as a function of the ticks ``n`` since its start:
+    ``R[n] = sum_i e_i max(0, n - i)``.
+
+    With ``E0`` and ``E1`` the prefix sums of ``e_i`` and ``i e_i``,
+    ``R[n] = n E0[j] - E1[j]`` at ``j = min(n, span)``: linear past the
+    span, and zero for ``n <= 0``. The returned function takes an array of
+    whole ``n``.
+    """
+    span = len(echo) - 1
+    e0 = np.cumsum(echo)
+    e1 = np.cumsum(np.arange(len(echo)) * echo)
+
+    def response(n):
+        n = np.maximum(n, 0)
+        j = np.minimum(n, span)
+        return n * e0[j] - e1[j]
+
+    return response
+
+
+def ramp_echo(response, bends, ticks, dt):
+    """The echo at ``ticks`` of a ramp that starts at zero and changes its
+    slope by ``change`` at each ``(tick, change)`` of ``bends``, ticks
+    ``dt`` apart, through taps of ramp ``response``: ``dt * sum_p change_p
+    R[ticks - tick_p]``."""
+    return dt * sum(change * response(ticks - tick) for tick, change in bends)
 
 
 def past_taps(taps, count):
@@ -179,9 +203,10 @@ def make_rear_absorber(fir):
 
 
 def _absorber_step(end, state, measured, sent):
-    # the one-tick case of ``absorber_block``; both windows then move on
+    # one tick of the equations above over the windows; both then move on
     state.sent[-1] = sent
-    (known,), (offset,) = absorber_block(end, state.echo, state.sent)
+    echoed = state.sent @ state.echo[::-1]
+    known, offset = (sent - echoed, 0.0) if end == "front" else (sent, -echoed)
     state.samples[-1] = measured + offset
     command = known + state.samples @ state.fir.taps[::-1]
     state.sent[:-1] = state.sent[1:]

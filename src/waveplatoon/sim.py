@@ -25,22 +25,28 @@ stride, is the one with the least estimated cost per tick
 the run, and a block that starts off the output grid ends at the next
 output sample. The absorbers are linear in the samples they measure, so
 the FIR feedback within a block is a unit lower-triangular linear system,
-solved once per run into precomputed maps. These give every tick's
-commands and velocities, the positions at the block's output samples
-after its first, the block's samples and the state at its end; the FIR
-over the samples before a block enters as a known term. The
-simulator owns the ramps, the tick clock and both histories of every
-absorber, its samples and its sent ramp values, in two rolling arrays that
-``boundary``'s stateless equations read.
+solved once per run into precomputed maps. A block is time-invariant, so
+the solve runs over the block's start state and its first tick's inputs
+alone, and each later tick's inputs take that response shifted. The maps
+give the commands, velocities and positions the trace reads, the block's
+samples and the state at its end, and every tick's commands and
+velocities on demand; the FIR over the samples before a block enters as a
+known term. The simulator owns the ramps, the tick clock and each
+absorber's samples, in a rolling array that ``boundary``'s stateless
+equations read. What an absorber sends is its end's ramp, a sum of hinges
+at the ramp's slope changes, so its echo has a closed form in them
+(``boundary.ramp_echo``); a run without events forms none.
 Every run advances its consecutive full blocks a chunk at a time. What the
 state does not touch is worked out once per chunk: the reference inputs,
 the noise, and each absorber's ramp and the echo of it. Only the
 end-state recursion and, with absorbers, each block's samples and the FIR
 over the samples before it run block by block, written in place into the
-chunk's arrays. One product over the chunk then gives every tick's
-commands and velocities. Velocities are one linear
-readout of the augmented state, shared by the trace and the check of every
-tick against ``VELOCITY_LIMIT``.
+chunk's arrays. One product over the chunk then gives the rows the trace
+reads. Velocities are one linear readout of the augmented state, shared
+by the trace and the check of every tick against ``VELOCITY_LIMIT``: the
+largest weights each velocity has over a block's ticks bound every tick
+at once, and a chunk that the bound does not clear forms every tick's
+velocities exactly.
 """
 
 from itertools import takewhile
@@ -55,11 +61,12 @@ from .boundary import absorber_front_step, absorber_rear_step  # noqa: F401
 from .boundary import (
     VARIANTS,
     Ramp,
-    absorber_block,
     echo_taps,
     kappa_front,
     kappa_rear,
     past_taps,
+    ramp_echo,
+    ramp_response,
     ramp_slopes,
 )
 from .errors import InvalidConfig, NonFiniteState
@@ -341,7 +348,8 @@ class PlatoonDynamics:
 
 
 def inject_noise(rng, variance, count):
-    """Independent distance-error draws for the ``count`` follower vehicles."""
+    """Independent distance-error draws in an array of shape ``count`` (one
+    follower count, or ticks by followers)."""
     if variance == 0.0:
         return np.zeros(count)
     # the draws of ``rng.normal(0.0, sqrt(variance), count)``, scaled in place
@@ -355,6 +363,9 @@ class _ReferenceTracker:
 
     Slopes are computed from deviations relative to the initial equilibrium
     (at rest, spacing d_ref0), the regime every scenario here starts from.
+    Each end's ramp starts at zero, and ``bends[end]`` lists its slope
+    changes as ``(tick, change)``: the ramp is their sum of hinges, from
+    which an absorber's echo of it has a closed form.
     """
 
     def __init__(self, config, variant):
@@ -364,8 +375,10 @@ class _ReferenceTracker:
         self.d_target = config.d_ref0
         self.front_ramp = Ramp(0.0)
         self.rear_ramp = Ramp(0.0)
+        self.bends = {"front": [], "rear": []}
 
-    def apply(self, event, t):
+    def apply(self, event, tick):
+        t = tick * (1.0 / self.config.fs_ctrl)
         if event.kind == "set_v_ref":
             self.v_target = event.value
         else:
@@ -384,13 +397,16 @@ class _ReferenceTracker:
                 k_rear = kappa_rear(coupling)
         w0, wr = ramp_slopes(v_dev, d_dev, k_front, k_rear)
         front_slope = w0 if self.variant in ("front", "two_sided") else v_dev
-        self.front_ramp = self.front_ramp.continued(front_slope, t)
-        self.rear_ramp = self.rear_ramp.continued(wr, t)
+        for end, slope in (("front", front_slope), ("rear", wr)):
+            ramp = getattr(self, end + "_ramp")
+            if slope != ramp.slope:
+                self.bends[end].append((tick, slope - ramp.slope))
+            setattr(self, end + "_ramp", ramp.continued(slope, t))
 
 
-# the arrays a run's block maps keep hold each tick's rows over every input
-# of a stride; ``_block_stride`` keeps them under this many floats (32 MB)
-# unless one tick alone needs more
+# the arrays a run's block maps keep grow with the stride (their rows over
+# every input of a stride); ``_block_stride`` keeps them under this many
+# floats (32 MB) unless one tick alone needs more
 JUMP_MAP_FLOATS = 1 << 22
 # a run advances up to this many consecutive full blocks per chunk
 CHUNK_BLOCKS = 128
@@ -400,15 +416,16 @@ class _Channel(NamedTuple):
     """One absorber end as the block stepper sees it.
 
     ``end`` is ``"front"`` or ``"rear"``: the absorber sends the values of
-    that end's ``_ReferenceTracker`` ramp and filters them through its
-    ``echo`` taps (``boundary.absorber_block``). The command written to
-    ``z[fresh]`` is ``command0`` plus the absorber's output; the absorber
-    measures ``z[row] - sample0`` plus, when ``noise`` is a column index,
-    that tick's noise draw.
+    that end's ``_ReferenceTracker`` ramp, and ``echo`` is its echo taps'
+    ramp response (``boundary.ramp_response``), which turns the ramp's
+    bends into its echo. The command written to ``z[fresh]`` is
+    ``command0`` plus the absorber's output; the absorber measures
+    ``z[row] - sample0`` plus, when ``noise`` is a column index, that
+    tick's noise draw.
     """
 
     end: str
-    echo: np.ndarray
+    echo: object
     fresh: int
     row: int
     noise: object
@@ -431,14 +448,25 @@ class _BlockMaps:
     samples and its end state are linear in
     ``x = [z0, lookback, (w_0, kappa_0, offset_0), (w_1, kappa_1, offset_1), ...]``,
     where ``lookback`` holds each channel's ``stride`` values in turn.
-    Forward substitution (the unit lower-triangular solve of the feedback)
-    builds these maps once: ``full`` stacks a stride's per-tick rows
-    ``[commands, velocities]``, then the positions at each interior output
-    sample (every ``every`` ticks after the block's start), then its end
-    state and each channel's samples. The maps are causal, so a shorter
-    ``j``-tick block takes the leading rows of the same maps and the
-    positions at its own interior samples, and its end state comes from
-    the commands tick by tick through ``tick``.
+    The block is time-invariant: an input at tick ``w`` moves everything
+    after it as the same input at tick 0 does, ``w`` ticks later. So
+    forward substitution (the unit lower-triangular solve of the feedback)
+    runs over the columns of ``z0`` and tick 0's inputs alone, and every
+    later tick's columns are that response shifted.
+
+    ``full`` holds the maps a chunk multiplies, rows over ``x``: first
+    the rows the trace reads (the commands at the output samples, every
+    ``every`` ticks from the block's start; the velocities after the tick
+    before each interior sample; the positions at the interior samples),
+    then the end state and each channel's samples (``next``). Every
+    tick's commands and velocities stay in their tick-0 form,
+    ``response``, from which ``_every_tick`` forms them when the guard
+    needs them exactly. ``peak`` holds, entry by entry, the largest
+    magnitude a command or velocity row reaches over the block's ticks.
+    The maps are causal, so a shorter ``j``-tick block takes the leading
+    columns of the same maps, the positions at its own interior samples
+    and its first ``j`` ticks' rows, and its end state comes from the
+    commands tick by tick through ``tick``.
 
     ``chunk`` advances many full blocks with the same maps. The inputs
     known before the chunk enter through one product; the reference slots
@@ -464,45 +492,104 @@ class _BlockMaps:
         inputs = np.hstack([dyn.tick_noise[:, :k], dyn.tick_map[:, fresh]])
         self.tick = np.hstack([a, inputs])
 
+        # the responses to z0 and to tick 0's inputs, by the ticks since
+        # tick 0: each tick's commands and velocities after it, its
+        # samples, and the state after it (the input columns, then the
+        # positions at the interior samples whole)
         h = np.zeros(stride)
         h[: min(stride, len(taps))] = taps[:stride]
-        cols = dim + stride * q
-        coef = np.eye(dim, cols)  # z after i ticks as a map of x
-        samples = np.zeros((stride, c, cols))
-        rows = np.zeros((stride, r, cols))
         sample_rows = [ch.row for ch in channels]
         interior = range(every, stride, every)
+        rows = np.empty((stride, r, dim + q))
+        samples = np.empty((stride, c, dim + q))
+        moved = np.empty((stride, dim, q))
         positions = []
+        coef = np.eye(dim, dim + q)
+        # tick 0's inputs, the only ones on: the plant's noise draws, each
+        # sample's offset (and the tail's noise draw), each command's known
+        # part
+        unit = np.zeros((k + 2 * c, dim + q))
+        unit[:k, dim : dim + k] = np.eye(k)
+        unit[range(k, k + c), range(dim + k + c, dim + q)] = 1.0
+        unit[range(k + c, k + 2 * c), range(dim + k, dim + k + c)] = 1.0
+        for ci, ch in enumerate(channels):
+            if noisy and ch.noise is not None:
+                unit[k + ci, dim + ch.noise] = 1.0
         for i in range(stride):
-            w = dim + i * q
-            samples[i] = coef[sample_rows]
-            samples[i, range(c), range(w + k + c, w + q)] += 1.0
-            for ci, ch in enumerate(channels):
-                if noisy and ch.noise is not None:
-                    samples[i, ci, w + ch.noise] += 1.0
-            u = np.tensordot(h[i::-1], samples[: i + 1], axes=1)
-            u[range(c), range(w + k, w + k + c)] += 1.0
-            coef = a @ coef + inputs @ np.vstack([np.eye(k, cols, w), u])
+            samples[i] = coef[sample_rows] + unit[k : k + c]
+            u = np.tensordot(h[i::-1], samples[: i + 1], axes=1) + unit[k + c :]
+            coef = a @ coef + inputs @ np.vstack([unit[:k], u])
+            unit[:] = 0.0
             rows[i, :c] = u
             rows[i, c:] = dyn.velocity_rows @ coef
+            moved[i] = coef[:, dim:]
             if i + 1 in interior:
-                positions.append(coef[0 : dyn.n_states : 3])
-        full = np.vstack([
-            rows.reshape(stride * r, cols),
-            *positions,
-            coef,
-            samples.transpose(1, 0, 2).reshape(c * stride, cols),
-        ])
-        # the lookback enters each command as its known part does
-        kappa = (dim + k + np.arange(c)[:, None] + q * np.arange(stride)).ravel()
+                positions.append(coef[0 : dyn.n_states : 3, :dim])
+
         self.head = head = dim + c * stride
-        self.full = np.hstack([full[:, :dim], full[:, kappa], full[:, dim:]])
-        self.readout = stride * r + len(positions) * m
-        self.next = self.full[self.readout :]
+        cols = head + stride * q
+
+        def spread(now, lagged):
+            # rows over ``x`` of a response at some tick: ``now`` over z0,
+            # ``lagged[w]`` over the inputs of tick w (the lookback as the
+            # known part of the command)
+            out = np.zeros((len(now), cols))
+            out[:, :dim] = now
+            span = len(lagged)
+            out[:, head : head + span * q] = lagged.transpose(1, 0, 2).reshape(
+                len(now), span * q
+            )
+            out[:, dim:head].reshape(len(now), c, stride)[:, :, :span] = (
+                lagged[:, :, k : k + c].transpose(1, 2, 0)
+            )
+            return out
+
+        picks = (range(0, stride, every), range(every - 1, stride - 1, every))
+        self.outputs = (len(picks[0]), len(picks[1]))
+        self.traced = len(picks[0]) * c + 2 * len(picks[1]) * m
+        full = [spread(rows[i, :c, :dim], rows[i::-1, :c, dim:]) for i in picks[0]]
+        full += [spread(rows[i, c:, :dim], rows[i::-1, c:, dim:]) for i in picks[1]]
+        full += [spread(now, moved[p - 1 :: -1, 0 : dyn.n_states : 3])
+                 for p, now in zip(interior, positions)]
+        full.append(spread(coef[:, :dim], moved[::-1]))
+        ticks = [spread(samples[i, :, :dim], samples[i::-1, :, dim:]) for i in range(stride)]
+        full.append(np.stack(ticks, axis=1).reshape(c * stride, cols))
+        self.full = np.vstack(full)
+        self.next = self.full[self.traced :]
         self.carry = self.next[:, :head].copy()
         self.carry[:, ref_slots] = 0.0
         self.past = past_taps(taps, stride)
         self.span = len(self.past)
+        self.response = rows
+        top = np.maximum.accumulate(np.abs(rows), axis=0)
+        self.peak = spread(top[-1, :, :dim], top[::-1, :, dim:])
+        # the rounding of a product over ``cols`` terms, and of its bound
+        self.slack = 2.0 * cols * np.finfo(float).eps
+
+    def _split(self, out):
+        # the traced rows of each block: commands, velocities, positions
+        g, v = self.outputs
+        c, m, nb = self.c, self.m, len(out)
+        return (out[:, : g * c].reshape(nb, g, c),
+                out[:, g * c : g * c + v * m].reshape(nb, v, m),
+                out[:, g * c + v * m : self.traced].reshape(nb, v, m))
+
+    def _every_tick(self, x, j):
+        """Every tick's ``[commands, velocities]`` over the first ``j``
+        ticks of each block in ``x``, from the tick-0 ``response``: tick
+        ``i`` takes ``response[i]`` of z0 and ``response[i - w]`` of tick
+        ``w``'s inputs, each channel's lookback entering as its known part.
+        """
+        dim, head, c, k, q = self.dim, self.head, self.c, self.k, self.q
+        nb = len(x)
+        drive = x[:, head : head + j * q].reshape(nb, j, q).copy()
+        drive[:, :, k : k + c] += (
+            x[:, dim:head].reshape(nb, c, self.stride)[:, :, :j].transpose(0, 2, 1)
+        )
+        out = np.tensordot(x[:, :dim], self.response[:j, :, :dim], axes=(1, 2))
+        for lag in range(j):
+            out[:, lag:] += drive[:, : j - lag] @ self.response[lag, :, dim:].T
+        return out
 
     def chunk(self, z, ref, x, hist):
         """Consecutive full blocks from ``z``, one row of ``x`` each.
@@ -512,10 +599,17 @@ class _BlockMaps:
         channel's row of ``hist`` starts with the ``span`` samples before
         the chunk and takes the chunk's samples after them. ``x`` gets
         each block's ``z`` (with its reference slots) and lookback.
-        Returns every tick's ``[commands, velocities]``, each block's
-        positions at its interior output samples and ``z`` after the last
-        block. The per-block loop makes no temporaries beyond its carry
-        product: the lookback goes straight into the block's row of ``x``.
+        Returns each block's commands at its output samples, velocities
+        after the tick before each interior sample and positions at them,
+        ``z`` after the last block, and a bound on every tick's |velocity|
+        that is NaN when a command may not be finite.
+
+        The per-block loop makes no temporaries beyond its carry product:
+        the lookback goes straight into the block's row of ``x``. The
+        readout multiplies only the traced rows. ``|x| @ peak.T`` bounds
+        every tick's commands and velocities; when it does not prove them
+        finite and within ``VELOCITY_LIMIT``, every tick's rows are formed
+        and their exact peak returned, as ``step`` does.
         """
         dim, head, c, s, span = self.dim, self.head, self.c, self.stride, self.span
         u = (ref @ self.next[:, self.ref_slots].T
@@ -531,37 +625,47 @@ class _BlockMaps:
                 hist[:, span + b * s : span + (b + 1) * s] = out[dim:].reshape(c, s)
             z = out[:dim]
         x[:, self.ref_slots] = ref
-        out = x @ self.full[: self.readout].T
-        ticks = s * self.r
-        return (out[:, :ticks].reshape(len(x), s, self.r),
-                out[:, ticks:].reshape(len(x), -1, self.m), z)
+        traced = self._split(x @ self.full[: self.traced].T)
+        bound = np.abs(x) @ self.peak.T
+        speed = bound[:, c:].max()
+        if not (np.isfinite(bound).all()
+                and speed * (1.0 + self.slack) <= VELOCITY_LIMIT):
+            speed = _peak(self._every_tick(x, s), c)
+        return (*traced, z, speed)
 
     def step(self, z, ref, x, hist):
         """One block of ``j`` ticks, fewer than a stride or the run's last
         tick, with ``ref``, ``x`` and ``hist`` laid out as for ``chunk``
         (one row of ``x``, ``j`` samples after the ``span`` in ``hist``).
-        Returns the block's rows and interior positions as ``chunk`` does
-        and ``z`` at its end."""
+        Returns what ``chunk`` does for the block, with the exact peak of
+        every tick's |velocity|."""
         dim, head, c, k, q, s = self.dim, self.head, self.c, self.k, self.q, self.stride
-        span = self.span
+        span, every, m = self.span, self.every, self.m
         j = hist.shape[1] - span
         xb = x[0]
         xb[:dim] = z
         xb[self.ref_slots] = ref[0]
         xb[dim:head].reshape(c, s)[:, :j] = hist[:, :span] @ self.past[:, :j]
         cols = head + j * q
-        rows = (self.full[: j * self.r, :cols] @ xb[:cols]).reshape(j, self.r)
-        first = s * self.r
-        inner = first + (j - 1) // self.every * self.m
-        positions = self.full[first:inner, :cols] @ xb[:cols]
+        rows = self._every_tick(x, j)
+        first = self.traced - self.outputs[1] * m
+        inner = self.full[first : first + (j - 1) // every * m, :cols] @ xb[:cols]
         if c:
             samples = self.next[dim:, :cols] @ xb[:cols]
             hist[:, span:] = samples.reshape(c, s)[:, :j]
         z = xb[:dim]
         noise = xb[head:cols].reshape(j, q)[:, :k]
-        for w, u in zip(noise, rows[:, :c]):
+        for w, u in zip(noise, rows[0, :, :c]):
             z = self.tick @ np.concatenate([z, w, u])
-        return rows[None], positions.reshape(1, -1, self.m), z
+        return (rows[:, ::every, :c], rows[:, every - 1 : j - 1 : every, c:],
+                inner.reshape(1, -1, m), z, _peak(rows, c))
+
+
+def _peak(rows, c):
+    """The largest |velocity| in per-tick ``rows`` of ``[commands,
+    velocities]``, or NaN when a command is not finite."""
+    speed = np.abs(rows[..., c:]).max()
+    return speed if np.isfinite(rows[..., :c]).all() else np.nan
 
 
 def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
@@ -570,37 +674,44 @@ def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
     columns and an FIR lookback of ``span`` samples.
 
     The stride minimizes an estimate of a tick's cost in floats of the
-    products that run it. A block's maps are ``rows`` (per tick: commands,
-    velocities, samples; then the interior positions and the end state) by
-    ``cols`` (the state, then per tick each channel's lookback and ``q =
-    k + 2c`` inputs). A tick pays its share of a block step (a fixed
+    products that run it. A block's maps are ``rows`` (the rows the trace
+    reads, then the end state and each tick's samples) by ``cols`` (the
+    state, then per tick each channel's lookback and ``q = k + 2c``
+    inputs); beside them the run keeps each tick's response to tick 0 and
+    the guard's weights. A tick pays its share of a block step (a fixed
     ``step``, the carry product and a lookback over ``span`` samples per
-    channel), of the block's readout, and of the map build spread over the
-    run: per tick of the stride, ``dim + k + c + m`` rows by ``dim`` by
-    the columns, and Python worth eight block steps. Measured on a 2-core
-    x86-64 host with OpenBLAS, a block step's Python takes 4 us, a build
-    tick's 35 us, and the chunk's products 25 ps a float. The cost is
-    convex in the stride. The candidates tile the output grid: multiples
-    of ``out_every`` whose maps hold at most JUMP_MAP_FLOATS floats or,
-    when ``out_every`` alone overflows them, its divisors that fit (else
-    one tick).
+    channel), of the block's readout (the rows the trace reads, the
+    guard's bound and the end state and samples), and of the map build
+    spread over the run: per tick of the stride, ``dim + k + c + m`` rows
+    by ``dim`` by ``dim + q`` columns at four times a float's cost (the
+    products are small) and Python worth twelve block steps. Measured on a
+    2-core x86-64 host with OpenBLAS, a block step's Python takes 4 us, a
+    build tick's 50 us, and the chunk's products 25 ps a float. The cost
+    is convex in the stride. The candidates tile the output grid:
+    multiples of ``out_every`` whose maps hold at most JUMP_MAP_FLOATS
+    floats or, when ``out_every`` alone overflows them, its divisors that
+    fit (else one tick).
     """
     q = k + 2 * c
     step = 160_000  # 4 us at 25 ps a float
 
-    def full(s):
-        # the maps' rows by their columns, as above
-        return ((s * (c + m) + (s - 1) // out_every * m + dim + c * s)
-                * (dim + s * (c + q)))
+    def cols(s):
+        return dim + s * (c + q)
+
+    def rows(s):
+        # the rows the trace reads, then the end state and samples
+        return (len(range(0, s, out_every)) * c
+                + 2 * len(range(out_every, s, out_every)) * m + dim + c * s)
 
     def fits(s):
-        # ``full``, ``carry``, ``past`` and ``tick``
-        return (full(s) + (dim + c * s) ** 2 + span * s
-                + dim * (dim + k + c)) <= JUMP_MAP_FLOATS
+        # ``full``, ``carry``, ``past``, ``tick``, ``response`` and ``peak``
+        return ((rows(s) + c + m) * cols(s) + (dim + c * s) ** 2 + span * s
+                + dim * (dim + k + c) + s * (c + m) * (dim + q)) <= JUMP_MAP_FLOATS
 
     def cost(s):
-        block = step + (dim + c * s) ** 2 + c * span * s + full(s)
-        build = s * (8 * step + (dim + k + c + m) * dim * (dim + s * q))
+        # the readout multiplies ``full`` and ``peak``
+        block = step + (dim + c * s) ** 2 + c * span * s + (rows(s) + c + m) * cols(s)
+        build = s * (12 * step + 4 * (dim + k + c + m) * dim * (dim + q))
         return block / s + build / n_ctrl
 
     if not fits(out_every):
@@ -645,16 +756,17 @@ def run_scenario(config, scenario, fir=None):
     block from an output sample holds several, and one below it divides
     it, so full blocks tile each output interval. Within a block the
     absorbers' commands are linear in the samples they measure, so
-    precomputed maps give every tick's commands and velocities, the
-    positions at the block's interior output samples and the state at its
-    end. Consecutive full blocks go through those maps in chunks of up to
-    ``CHUNK_BLOCKS``; a block cut short by an event or the run's end takes
-    the leading part of the same maps, and after an event off the output
-    grid a short block runs to the next output sample. Each chunk or short
-    block draws its noise and
-    samples its ramps in one call, and is checked whole before its
-    samples join the absorber histories: the divergence guard sees every
-    vehicle's velocity at every tick.
+    precomputed maps give the commands, velocities and positions the trace
+    reads and the state at the block's end. Consecutive full blocks go
+    through those maps in chunks of up to ``CHUNK_BLOCKS``; a block cut
+    short by an event or the run's end takes the leading part of the same
+    maps, and after an event off the output grid a short block runs to
+    the next output sample. Each chunk or short block draws its noise,
+    samples its ramps and forms their echo in one call, and is checked
+    whole before its samples join the absorber histories: the divergence
+    guard sees every vehicle's velocity at every tick, through a bound
+    over the chunk's ticks or, when that does not clear it, each tick's
+    exact value.
     """
     m = config.n_vehicles
     variant = scenario.variant
@@ -678,7 +790,7 @@ def run_scenario(config, scenario, fir=None):
     channels = []
     if front_abs:
         channels.append(_Channel(
-            "front", echo_taps(fir, "front"), dyn.front_fresh, 3, None,
+            "front", ramp_response(echo_taps(fir, "front")), dyn.front_fresh, 3, None,
             x_first0, z[3],
         ))
         # the command that drove the plant into the current sample; a
@@ -687,7 +799,7 @@ def run_scenario(config, scenario, fir=None):
         z[dyn.front_held] = x_first0
     if rear_abs:
         channels.append(_Channel(
-            "rear", echo_taps(fir, "rear"), dyn.rear_fresh, 3 * (m - 2),
+            "rear", ramp_response(echo_taps(fir, "rear")), dyn.rear_fresh, 3 * (m - 2),
             m - 2, x_last0, z[3 * (m - 2)],
         ))
         z[dyn.rear_held] = x_last0
@@ -716,11 +828,10 @@ def run_scenario(config, scenario, fir=None):
     )
     command0 = np.array([ch.command0 for ch in channels])
     sample0 = np.array([ch.sample0 for ch in channels])
-    # each channel's samples and sent ramp values: the ``span`` before a
-    # chunk, then the chunk's; the newest ``span`` move to the front after it
+    # each channel's samples: the ``span`` before a chunk, then the
+    # chunk's; the newest ``span`` move to the front after it
     span = blocks.span
     samples = np.zeros((c, span + CHUNK_BLOCKS * stride))
-    sent = np.zeros_like(samples)
 
     n_out = n_ctrl // out_every + 1
     t_out = np.empty(n_out)
@@ -735,7 +846,7 @@ def run_scenario(config, scenario, fir=None):
     k = 0
     while True:
         while next_event < len(events) and event_ticks[next_event] <= k:
-            refs.apply(events[next_event], k * ctrl_dt)
+            refs.apply(events[next_event], k)
             next_event += 1
 
         limit = n_ctrl
@@ -766,24 +877,28 @@ def run_scenario(config, scenario, fir=None):
         x = np.zeros((nb, blocks.head + stride * blocks.q))
         feed = x[:, blocks.head : blocks.head + j * blocks.q].reshape(nb, j, -1)
         if rng is not None:
-            noise = inject_noise(rng, sigma2, (nb * j, noise_cols))
-            feed[:, :, :noise_cols] = noise.reshape(nb, j, noise_cols)
+            feed[:, :, :noise_cols] = inject_noise(rng, sigma2, (nb, j, noise_cols))
         size = span + nb * j
         if channels:
-            times = (t[:, None] + np.arange(j) / config.fs_ctrl).ravel()
+            times = t[:, None] + np.arange(j) / config.fs_ctrl
             for i, ch in enumerate(channels):
-                sent[i, span:size] = getattr(refs, ch.end + "_ramp").sample(times)
-                known, offset = absorber_block(ch.end, ch.echo, sent[i, :size])
-                feed[:, :, noise_cols + i] = (known + command0[i]).reshape(nb, j)
-                feed[:, :, noise_cols + c + i] = (offset - sample0[i]).reshape(nb, j)
+                known = getattr(refs, ch.end + "_ramp").sample(times)
+                offset = 0.0
+                if refs.bends[ch.end]:
+                    echo = ramp_echo(ch.echo, refs.bends[ch.end],
+                                     starts[:, None] + np.arange(j), ctrl_dt)
+                    if ch.end == "front":
+                        known -= echo
+                    else:
+                        offset = -echo
+                feed[:, :, noise_cols + i] = known + command0[i]
+                feed[:, :, noise_cols + c + i] = offset - sample0[i]
         # a diverging chunk may overflow; the guard reports it
         with np.errstate(over="ignore", invalid="ignore"):
             advance = blocks.chunk if j == stride else blocks.step
-            rows, inner, end = advance(z, ref, x, samples[:, :size])
+            cmds, vels, inner, end, peak = advance(z, ref, x, samples[:, :size])
         if k < n_ctrl:
-            speeds = rows[:, :, c:]
-            _guard(np.abs(speeds).max(), x, rows[:, :, :c],
-                   samples[:, span:size], end)
+            _guard(peak, x, samples[:, span:size], end)
 
         # a block that starts on the output grid holds a sample every
         # out_every ticks: its start state, then the positions the maps
@@ -799,19 +914,18 @@ def run_scenario(config, scenario, fir=None):
         pos[:, 1:] = inner[sampled]
         vel = v_out[out].reshape(pos.shape)
         vel[:, 0] = states @ dyn.velocity_rows.T
-        vel[:, 1:] = rows[sampled, out_every - 1 : j - 1 : out_every, c:]
+        vel[:, 1:] = vels[sampled]
         cmd = c_out[out].reshape(*ticks.shape, 2)
         if front_abs:
-            cmd[:, :, 0] = rows[sampled, ::out_every, 0]
+            cmd[:, :, 0] = cmds[sampled, :, 0]
         else:
             c_out[out, 0] = x_first0 + refs.front_ramp.sample(t_out[out])
         if rear_abs:
-            cmd[:, :, 1] = rows[sampled, ::out_every, c - 1]
+            cmd[:, :, 1] = cmds[sampled, :, c - 1]
         row += ticks.size
         if k == n_ctrl:
             break
         samples[:, :span] = samples[:, size - span : size]
-        sent[:, :span] = sent[:, size - span : size]
         z = end
         k += nb * j
 

@@ -82,6 +82,8 @@ def sweep(
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
         raise InvalidConfig(f"unknown variant(s): {', '.join(map(str, unknown))}")
+    if not (np.isfinite(fs_ctrl) and fs_ctrl > 0):
+        raise InvalidConfig(f"fs_ctrl must be finite and positive, got {fs_ctrl}")
     n_max = max(n_list)
     fir = None
     if any(v != "none" for v in variants):

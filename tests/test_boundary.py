@@ -16,11 +16,14 @@ from waveplatoon.boundary import (
     absorber_front_step,
     absorber_rear_step,
     chain_tf_prediction,
+    echo_taps,
     kappa_front,
     kappa_rear,
     make_front_absorber,
     make_rear_absorber,
     past_taps,
+    ramp_echo,
+    ramp_response,
     ramp_slopes,
     squared_fir,
 )
@@ -174,6 +177,43 @@ def test_absorber_steps_match_reference(head, ticks):
     for measured, sent in ticks:
         got = step(state, measured, sent)
         assert abs(got - ref.step(measured, sent)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    end=st.sampled_from(["front", "rear"]),
+    start=st.integers(0, 6000),
+    length=st.integers(1, 400),
+    bends=st.lists(
+        st.tuples(st.integers(0, 6400), st.floats(-3.0, 3.0)), max_size=4
+    ),
+)
+# one bend at tick 0, two at one tick, one at the chunk's last tick, and
+# the first two more than a span before the chunk, which starts off the
+# output grid
+@example(end="front", start=3001, length=300,
+         bends=[(0, 1.0), (1200, 0.9), (1200, -2.5), (3300, 0.25)])
+@example(end="rear", start=3001, length=300,
+         bends=[(0, 1.0), (1200, 0.9), (1200, -2.5), (3300, 0.25)])
+@example(end="front", start=0, length=1, bends=[(0, 1.0)])
+@example(end="rear", start=2537, length=1, bends=[(0, 0.5), (2537, -0.5)])
+def test_closed_form_echo_matches_correlation(nominal_fir, end, start, length, bends):
+    # the echo of the sampled ramp (a sum of hinges, zero before tick 0)
+    # through the end's taps, correlated over the whole history, against
+    # its closed form from the bends alone
+    dt = 1.0 / nominal_fir.fs
+    taps = echo_taps(nominal_fir, end)
+    ticks = np.arange(start + length)
+    sent = sum(
+        (change * dt * np.maximum(0, ticks - tick) for tick, change in bends),
+        np.zeros(len(ticks)),
+    )
+    window = np.concatenate([np.zeros(len(taps) - 1), sent])
+    want = np.correlate(window, taps[::-1], "valid")[start:]
+    got = ramp_echo(ramp_response(taps), bends, ticks[start:], dt)
+    scale = np.abs(taps).sum() * max(np.abs(sent).max(), 1e-300)
+    assert np.shape(got) in ((), (length,))
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("length,count", [(1501, 10), (4, 7), (1, 3)])

@@ -199,6 +199,28 @@ def test_bad_sweep_inputs_are_errors(tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["approx", "--fs", "0"], "fs must be finite and positive"),
+        (["approx", "--fs", "inf"], "fs must be finite and positive"),
+        (["approx", "--fs", "nan"], "fs must be finite and positive"),
+        (["approx", "--truncate", "-1"], "truncate must be finite and positive"),
+        (["approx", "--l", "0"], "l must be >= 1"),
+        (["sweep", "--n-list", "3", "--fs", "0"], "fs_ctrl must be finite and positive"),
+        (["sweep", "--n-list", "3", "--fs", "inf"], "fs_ctrl must be finite and positive"),
+    ],
+    ids=["approx-fs-0", "approx-fs-inf", "approx-fs-nan", "approx-truncate-negative",
+         "approx-l-0", "sweep-fs-0", "sweep-fs-inf"],
+)
+def test_bad_design_rates_are_errors(tmp_path, capsys, argv, message):
+    # each once ended in a ValueError or OverflowError traceback from the
+    # FIR build instead of an error line
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_missing_config_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--config", str(tmp_path / "absent.ini"),

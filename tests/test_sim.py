@@ -379,7 +379,7 @@ def _per_tick_reference(config, spec, fir):
     for k in range(int(round(spec.duration * config.fs_ctrl)) + 1):
         t = k * (1.0 / config.fs_ctrl)
         while events and events[0].time <= t + 1e-12:
-            refs.apply(events.pop(0), t)
+            refs.apply(events.pop(0), k)
         w = inject_noise(rng, spec.noise.variance, m - 1)
         cmd = [x0[0] + refs.front_ramp(t), np.nan]
         if front is not None:
@@ -675,6 +675,83 @@ def test_guard_sees_commanded_ends(monkeypatch, nominal_fir):
     )
     with pytest.raises(NonFiniteState):
         run_scenario(PlatoonConfig(n_vehicles=5), spec, fir=nominal_fir)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    n=st.integers(2, 20),
+    noisy=st.booleans(),
+    out_every=st.integers(1, 30),
+)
+@example(variant="two_sided", n=20, noisy=True, out_every=10)
+def test_guard_bound_covers_every_tick(nominal_fir, variant, n, noisy, out_every):
+    # on every chunk that the bound clears, each vehicle's speed at every
+    # tick of each block, read tick by tick from the run at out_every=1,
+    # is at most that vehicle's bound |x| @ peak.T for the block
+    cleared, ticks, maps = [], [0], set()
+    chunk, step = sim._BlockMaps.chunk, sim._BlockMaps.step
+
+    def bounded(self, z, ref, x, hist):
+        maps.add(self)
+        out = chunk(self, z, ref, x, hist)
+        bound = np.abs(x) @ self.peak.T
+        starts = ticks[0] + self.stride * np.arange(len(x))
+        if out[-1] == bound[:, self.c :].max():
+            cleared.append((starts, self.stride, bound[:, self.c :]))
+        ticks[0] += len(x) * self.stride
+        return out
+
+    def counted(self, z, ref, x, hist):
+        ticks[0] += hist.shape[1] - self.span
+        return step(self, z, ref, x, hist)
+
+    spec = lambda k: ScenarioSpec(
+        duration=30.0, events=((0.5, "set_v_ref", 1.0),),
+        noise=NoiseSpec(variance=0.5, seed=n) if noisy else None,
+        variant=variant, out_every=k,
+    )
+    cfg = PlatoonConfig(n_vehicles=n)
+    every_tick = run_scenario(cfg, spec(1), fir=nominal_fir).velocities
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim._BlockMaps, "chunk", bounded)
+        mp.setattr(sim._BlockMaps, "step", counted)
+        run_scenario(cfg, spec(out_every), fir=nominal_fir)
+    assert cleared
+    for starts, stride, bound in cleared:
+        for start, limit in zip(starts, bound):
+            # the rows of tick i give the velocities after it
+            speeds = np.abs(every_tick[start + 1 : start + stride + 1]).max(axis=0)
+            assert (speeds <= limit * (1.0 + 1e-9)).all()
+    # entry by entry, the weights are the largest magnitude each command
+    # and velocity row reaches over the block's ticks: the rows of every
+    # tick, read off the unit inputs
+    (blocks,) = maps
+    units = np.eye(blocks.peak.shape[1])
+    rows = blocks._every_tick(units, blocks.stride)
+    assert np.array_equal(np.abs(rows).max(axis=1).T, blocks.peak)
+
+
+def test_runs_without_events_do_no_echo_work(monkeypatch, nominal_fir):
+    # a ramp that never bends stays at zero and has no echo: a noisy
+    # rest-pose run with absorbers forms none, and a velocity step does
+    def formed(*args):
+        raise AssertionError("echo formed")
+
+    monkeypatch.setattr(sim, "ramp_echo", formed)
+    cfg = PlatoonConfig(n_vehicles=5, d_ref0=0.0)
+    for variant in ("front", "rear", "two_sided"):
+        quiet = ScenarioSpec(
+            duration=20.0, noise=NoiseSpec(variance=1.0, seed=2), variant=variant,
+            out_every=10,
+        )
+        run_scenario(cfg, quiet, fir=nominal_fir)
+        step = ScenarioSpec(
+            duration=20.0, events=((1.0, "set_v_ref", 1.0),), variant=variant,
+            out_every=10,
+        )
+        with pytest.raises(AssertionError, match="echo formed"):
+            run_scenario(cfg, step, fir=nominal_fir)
 
 
 def test_absorber_fir_rate_must_match_control_rate():
