@@ -172,10 +172,9 @@ def past_taps(taps, count):
     is past the FIR's span.
     """
     span = len(taps) - 1
-    out = np.zeros((span, count))
-    for i in range(min(count, span)):
-        out[i:, i] = taps[span:i:-1]
-    return out
+    # row j holds the taps from lag span - j on, then zeros
+    ext = np.concatenate([taps, np.zeros(count)])
+    return np.lib.stride_tricks.sliding_window_view(ext, count)[span:0:-1].copy()
 
 
 class AbsorberState:

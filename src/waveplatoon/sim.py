@@ -438,21 +438,30 @@ class _BlockMaps:
     once, solving the absorbers' FIR feedback inside the block.
 
     With ``A`` the tick map with the fresh command columns zeroed and ``G``
-    those columns, one tick is ``z' = A z + G u + N w`` (``tick`` is
-    ``[A, N, G]``). Each channel's commands over a block are
-    ``u = kappa + lookback + T y``: ``kappa`` is known before the block,
-    ``lookback`` is the FIR over the samples taken before it, ``y`` are
-    the block's samples (the measured state entry plus a known ``offset``)
-    and ``T`` is the lower-triangular Toeplitz matrix of the FIR ``taps``.
-    So every tick's commands and the velocities after it, the block's
-    samples and its end state are linear in
+    those columns, one tick is ``z' = A z + G u + N w``. Each channel's
+    commands over a block are ``u = kappa + lookback + T y``: ``kappa`` is
+    known before the block, ``lookback`` is the FIR over the samples taken
+    before it, ``y`` are the block's samples (the measured state entry plus
+    a known ``offset``) and ``T`` is the lower-triangular Toeplitz matrix
+    of the FIR ``taps``. So every tick's commands and the velocities after
+    it, the block's samples and its end state are linear in
     ``x = [z0, lookback, (w_0, kappa_0, offset_0), (w_1, kappa_1, offset_1), ...]``,
     where ``lookback`` holds each channel's ``stride`` values in turn.
     The block is time-invariant: an input at tick ``w`` moves everything
-    after it as the same input at tick 0 does, ``w`` ticks later. So
-    forward substitution (the unit lower-triangular solve of the feedback)
-    runs over the columns of ``z0`` and tick 0's inputs alone, and every
-    later tick's columns are that response shifted.
+    after it as the same input at tick 0 does, ``w`` ticks later. So the
+    build works out the response to ``z0`` and tick 0's inputs alone, and
+    every later tick's columns are that response shifted.
+
+    The build takes no Python step per tick beyond one small product: the
+    open loop's Markov rows ``obs A^t`` (each channel's sample, each
+    vehicle's velocity) and columns ``A^t [N, G]`` (``impulse``) come by
+    recursion, the positions at the interior samples hop ``A^every`` at a
+    time, and ``A``'s powers of two (``powers``) give ``A^stride``. The
+    feedback is block lower-triangular Toeplitz over the ticks, so its
+    inverse is too: its first block column doubles in a few products, and
+    one batched product applies it. The commands' share of every row then
+    comes from the Markov parameters in one more, and index arithmetic
+    lays the rows out over ``x``.
 
     ``full`` holds the maps a chunk multiplies, rows over ``x``: first
     the rows the trace reads (the commands at the output samples, every
@@ -465,8 +474,8 @@ class _BlockMaps:
     magnitude a command or velocity row reaches over the block's ticks.
     The maps are causal, so a shorter ``j``-tick block takes the leading
     columns of the same maps, the positions at its own interior samples
-    and its first ``j`` ticks' rows, and its end state comes from the
-    commands tick by tick through ``tick``.
+    and its first ``j`` ticks' rows, and its end state comes from
+    ``A^j`` and the first ``j`` of ``impulse``.
 
     ``chunk`` advances many full blocks with the same maps. The inputs
     known before the chunk enter through one product; the reference slots
@@ -483,88 +492,150 @@ class _BlockMaps:
         self.k = k = m - 1 if noisy else 0
         self.q = q = k + 2 * c
         self.r = r = c + m
-        self.stride = stride
+        self.stride = s = stride
         self.every = every
         self.ref_slots = ref_slots
+        d = dim + q
+        picks = (np.arange(0, s, every), np.arange(every - 1, s - 1, every))
         fresh = [ch.fresh for ch in channels]
         a = dyn.tick_map.copy()
         a[:, fresh] = 0.0
-        inputs = np.hstack([dyn.tick_noise[:, :k], dyn.tick_map[:, fresh]])
-        self.tick = np.hstack([a, inputs])
+        powers = [a]
+        while 2 ** len(powers) <= s:
+            powers.append(powers[-1] @ powers[-1])
+        self.powers = np.array(powers)
 
-        # the responses to z0 and to tick 0's inputs, by the ticks since
-        # tick 0: each tick's commands and velocities after it, its
-        # samples, and the state after it (the input columns, then the
-        # positions at the interior samples whole)
-        h = np.zeros(stride)
-        h[: min(stride, len(taps))] = taps[:stride]
-        sample_rows = [ch.row for ch in channels]
-        interior = range(every, stride, every)
-        rows = np.empty((stride, r, dim + q))
-        samples = np.empty((stride, c, dim + q))
-        moved = np.empty((stride, dim, q))
-        positions = []
-        coef = np.eye(dim, dim + q)
-        # tick 0's inputs, the only ones on: the plant's noise draws, each
-        # sample's offset (and the tail's noise draw), each command's known
-        # part
-        unit = np.zeros((k + 2 * c, dim + q))
-        unit[:k, dim : dim + k] = np.eye(k)
-        unit[range(k, k + c), range(dim + k + c, dim + q)] = 1.0
-        unit[range(k + c, k + 2 * c), range(dim + k, dim + k + c)] = 1.0
-        for ci, ch in enumerate(channels):
+        # the open loop, one small product a tick: the Markov rows after
+        # each tick, in the response's slots over z0, and the columns
+        eye = np.eye(dim)
+        obs = np.vstack([eye[[ch.row for ch in channels]], dyn.velocity_rows])
+        rows = np.empty((s, r, d))
+        grid = rows[:, :, :dim]
+        np.matmul(obs, a, out=grid[0])
+        for t in range(1, s):
+            np.matmul(grid[t - 1], a, out=grid[t])
+        self.impulse = impulse = np.empty((s, dim, k + c))
+        impulse[0] = np.hstack([dyn.tick_noise[:, :k], dyn.tick_map[:, fresh]])
+        for t in range(1, s if k + c else 0):
+            np.matmul(a, impulse[t - 1], out=impulse[t])
+        positions = np.empty((len(picks[1]), m, dim))
+        position = eye[0 : dyn.n_states : 3]
+        # ``A^every`` (interior samples exist only when every < s)
+        hop = self._advance(eye, min(every, s))
+        for i in range(len(positions)):
+            position = positions[i] = position @ hop
+        end = self._advance(eye, s)
+        # the state after each tick over tick 0's inputs
+        moved = np.zeros((s, dim, q))
+        moved[:, :, :k] = impulse[:, :, :k]
+        # tick 0's own share of each sample: its offset (and the tail's
+        # noise draw)
+        direct = np.zeros((c, q))
+        direct[range(c), range(k + c, q)] = 1.0
+        for i, ch in enumerate(channels):
             if noisy and ch.noise is not None:
-                unit[k + ci, dim + ch.noise] = 1.0
-        for i in range(stride):
-            samples[i] = coef[sample_rows] + unit[k : k + c]
-            u = np.tensordot(h[i::-1], samples[: i + 1], axes=1) + unit[k + c :]
-            coef = a @ coef + inputs @ np.vstack([unit[:k], u])
-            unit[:] = 0.0
-            rows[i, :c] = u
-            rows[i, c:] = dyn.velocity_rows @ coef
-            moved[i] = coef[:, dim:]
-            if i + 1 in interior:
-                positions.append(coef[0 : dyn.n_states : 3, :dim])
+                direct[i, ch.noise] = 1.0
 
-        self.head = head = dim + c * stride
-        cols = head + stride * q
-
-        def spread(now, lagged):
-            # rows over ``x`` of a response at some tick: ``now`` over z0,
-            # ``lagged[w]`` over the inputs of tick w (the lookback as the
-            # known part of the command)
-            out = np.zeros((len(now), cols))
-            out[:, :dim] = now
-            span = len(lagged)
-            out[:, head : head + span * q] = lagged.transpose(1, 0, 2).reshape(
-                len(now), span * q
-            )
-            out[:, dim:head].reshape(len(now), c, stride)[:, :, :span] = (
-                lagged[:, :, k : k + c].transpose(1, 2, 0)
-            )
+        def sampled():
+            # each channel's sample at each tick over z0 and tick 0's inputs
+            out = np.empty((s, c, d))
+            out[0, :, :dim] = obs[:c]
+            out[1:, :, :dim] = grid[: s - 1, :c]
+            out[0, :, dim:] = direct
+            np.matmul(obs[:c], moved[: s - 1], out=out[1:, :, dim:])
             return out
 
-        picks = (range(0, stride, every), range(every - 1, stride - 1, every))
-        self.outputs = (len(picks[0]), len(picks[1]))
-        self.traced = len(picks[0]) * c + 2 * len(picks[1]) * m
-        full = [spread(rows[i, :c, :dim], rows[i::-1, :c, dim:]) for i in picks[0]]
-        full += [spread(rows[i, c:, :dim], rows[i::-1, c:, dim:]) for i in picks[1]]
-        full += [spread(now, moved[p - 1 :: -1, 0 : dyn.n_states : 3])
-                 for p, now in zip(interior, positions)]
-        full.append(spread(coef[:, :dim], moved[::-1]))
-        ticks = [spread(samples[i, :, :dim], samples[i::-1, :, dim:]) for i in range(stride)]
-        full.append(np.stack(ticks, axis=1).reshape(c * stride, cols))
-        self.full = np.vstack(full)
+        u = np.zeros((s, c, d))
+        if c:
+            # the commands. With ``free`` the samples without them, ``H``
+            # the FIR's block-Toeplitz map and ``L`` the FIR of the samples'
+            # response to the commands before them,
+            # ``(I - L) u = H free + kappa``. The inverse of ``I - L`` is
+            # block Toeplitz too. Its first block column ``inverse``
+            # doubles: the next ``n`` blocks are the first ``n`` applied to
+            # what ``L`` carries from those ``n`` into the next ``n``
+            def flat(lagged):
+                return lagged.transpose(0, 2, 1, 3).reshape(
+                    len(lagged) * lagged.shape[2], -1)
+
+            fir = _lagged(taps[:s, None, None], s)[:, :, 0, 0]
+            gain = np.matmul(obs, impulse[:, :, k:])
+            feedback = np.zeros((2 * s, c, c))
+            feedback[1:s] = (fir[:-1, :-1] @ gain[:-1, :c].reshape(s - 1, c * c)).reshape(
+                s - 1, c, c)
+            inverse = np.eye(c)[None]
+            while len(inverse) < s:
+                n = len(inverse)
+                ahead = feedback[n + np.subtract.outer(np.arange(n), np.arange(n))]
+                fed = flat(ahead) @ inverse.reshape(n * c, c)
+                inverse = np.concatenate(
+                    [inverse, (flat(_lagged(inverse, n)) @ fed).reshape(n, c, c)])
+            inverse = inverse[:s]
+            drive = (fir @ inverse.reshape(s, c * c)).reshape(s, c, c)
+            np.matmul(flat(_lagged(drive, s)).reshape(s, c, s * c),
+                      sampled().reshape(s * c, d), out=u)
+            u[:, :, dim + k : dim + k + c] += inverse
+            # the commands' share of every Markov row and of the state:
+            # ``recent[t]`` holds the commands up to tick t, newest first
+            recent = _lagged(u, s).reshape(s, s * c, d)
+            grid += np.matmul(gain.transpose(1, 0, 2).reshape(r, s * c), recent[:, :, :dim])
+            steer = impulse[:, :, k:].transpose(1, 0, 2).reshape(dim, s * c)
+            moved += np.matmul(steer, recent[:, :, dim:])
+            end += steer @ recent[-1, :, :dim]
+            positions += np.matmul(steer[0 : dyn.n_states : 3], recent[picks[1], :, :dim])
+        samples = sampled()
+        rows[:, :c] = u
+        np.matmul(obs[c:], moved, out=rows[:, c:, dim:])
+
+        self.head = head = dim + c * s
+        width = head + s * q
+
+        def spread(out, now, lagged, picks):
+            # ``out[i]`` gets the rows over ``x`` of the responses at tick
+            # ``picks[i]``: ``now[i]`` over z0, and over tick w's inputs
+            # ``lagged[picks[i] - w]`` (none before w), the lookback as the
+            # known part of the command
+            if not out.size:
+                return
+            count, size = now.shape[:2]
+            lags = np.concatenate([lagged, np.zeros((s,) + lagged.shape[1:])])
+            lags = lags.transpose(1, 0, 2)[:, np.subtract.outer(picks, np.arange(s))]
+            out[:, :, :dim] = now
+            out[:, :, dim:head].reshape(count, size, c, s)[:] = (
+                lags[..., k : k + c].transpose(1, 0, 3, 2))
+            out[:, :, head:].reshape(count, size, s, q)[:] = lags.transpose(1, 0, 2, 3)
+
+        self.outputs = g, v = (len(picks[0]), len(picks[1]))
+        self.traced = g * c + 2 * v * m
+        self.full = np.empty((self.traced + dim + c * s, width))
+        spread(self.full[: g * c].reshape(g, c, width),
+               u[picks[0], :, :dim], u[:, :, dim:], picks[0])
+        spread(self.full[g * c : g * c + v * m].reshape(v, m, width),
+               rows[picks[1], c:, :dim], rows[:, c:, dim:], picks[1])
+        spread(self.full[g * c + v * m : self.traced].reshape(v, m, width),
+               positions, moved[:, 0 : dyn.n_states : 3], picks[1])
+        spread(self.full[None, self.traced : self.traced + dim], end[None], moved, [s - 1])
+        spread(self.full[self.traced + dim :].reshape(c, s, width).transpose(1, 0, 2),
+               samples[:, :, :dim], samples[:, :, dim:], np.arange(s))
         self.next = self.full[self.traced :]
         self.carry = self.next[:, :head].copy()
         self.carry[:, ref_slots] = 0.0
-        self.past = past_taps(taps, stride)
+        self.past = past_taps(taps, s)
         self.span = len(self.past)
         self.response = rows
-        top = np.maximum.accumulate(np.abs(rows), axis=0)
-        self.peak = spread(top[-1, :, :dim], top[::-1, :, dim:])
-        # the rounding of a product over ``cols`` terms, and of its bound
-        self.slack = 2.0 * cols * np.finfo(float).eps
+        self.peak = np.empty((r, width))
+        spread(self.peak[None], np.maximum(grid.max(axis=0), -grid.min(axis=0))[None],
+               np.maximum.accumulate(np.abs(rows[:, :, dim:]), axis=0), [s - 1])
+        # the rounding of a product over ``width`` terms, and of its bound
+        self.slack = 2.0 * width * np.finfo(float).eps
+
+    def _advance(self, z, ticks):
+        """``A^ticks z``, for up to the stride's ticks: ``A`` alone, with
+        no inputs."""
+        for bit, power in enumerate(self.powers):
+            if ticks >> bit & 1:
+                z = power @ z
+        return z
 
     def _split(self, out):
         # the traced rows of each block: commands, velocities, positions
@@ -586,8 +657,10 @@ class _BlockMaps:
         drive[:, :, k : k + c] += (
             x[:, dim:head].reshape(nb, c, self.stride)[:, :, :j].transpose(0, 2, 1)
         )
-        out = np.tensordot(x[:, :dim], self.response[:j, :, :dim], axes=(1, 2))
-        for lag in range(j):
+        out = (self.response[:j, :, :dim].reshape(j * self.r, dim) @ x[:, :dim].T
+               ).reshape(j, self.r, nb).transpose(2, 0, 1)
+        # a run with neither noise nor absorbers has no inputs to lag
+        for lag in range(j if q else 0):
             out[:, lag:] += drive[:, : j - lag] @ self.response[lag, :, dim:].T
         return out
 
@@ -653,12 +726,19 @@ class _BlockMaps:
         if c:
             samples = self.next[dim:, :cols] @ xb[:cols]
             hist[:, span:] = samples.reshape(c, s)[:, :j]
-        z = xb[:dim]
-        noise = xb[head:cols].reshape(j, q)[:, :k]
-        for w, u in zip(noise, rows[0, :, :c]):
-            z = self.tick @ np.concatenate([z, w, u])
+        drive = np.concatenate([xb[head:cols].reshape(j, q)[:, :k], rows[0, :, :c]], axis=1)
+        z = self._advance(xb[:dim], j) + np.tensordot(
+            self.impulse[j - 1 :: -1], drive, axes=([0, 2], [0, 1]))
         return (rows[:, ::every, :c], rows[:, every - 1 : j - 1 : every, c:],
                 inner.reshape(1, -1, m), z, _peak(rows, c))
+
+
+def _lagged(blocks, n):
+    """``out[i, j] = blocks[i - j]`` for ``i, j < n``: zero where ``j > i``
+    or past the blocks given."""
+    pad = np.zeros((2 * n,) + blocks.shape[1:])
+    pad[: min(n, len(blocks))] = blocks[:n]
+    return pad[np.subtract.outer(np.arange(n), np.arange(n))]
 
 
 def _peak(rows, c):
@@ -673,27 +753,32 @@ def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
     state slots, ``m`` vehicles, ``c`` absorber channels, ``k`` noise
     columns and an FIR lookback of ``span`` samples.
 
-    The stride minimizes an estimate of a tick's cost in floats of the
-    products that run it. A block's maps are ``rows`` (the rows the trace
-    reads, then the end state and each tick's samples) by ``cols`` (the
-    state, then per tick each channel's lookback and ``q = k + 2c``
-    inputs); beside them the run keeps each tick's response to tick 0 and
-    the guard's weights. A tick pays its share of a block step (a fixed
-    ``step``, the carry product and a lookback over ``span`` samples per
-    channel), of the block's readout (the rows the trace reads, the
-    guard's bound and the end state and samples), and of the map build
-    spread over the run: per tick of the stride, ``dim + k + c + m`` rows
-    by ``dim`` by ``dim + q`` columns at four times a float's cost (the
-    products are small) and Python worth twelve block steps. Measured on a
-    2-core x86-64 host with OpenBLAS, a block step's Python takes 4 us, a
-    build tick's 50 us, and the chunk's products 25 ps a float. The cost
-    is convex in the stride. The candidates tile the output grid:
-    multiples of ``out_every`` whose maps hold at most JUMP_MAP_FLOATS
-    floats or, when ``out_every`` alone overflows them, its divisors that
-    fit (else one tick).
+    The stride minimizes an estimate of a tick's cost in picoseconds. A
+    block's maps are ``rows`` (the rows the trace reads, then the end state
+    and each tick's samples) by ``cols`` (the state, then per tick each
+    channel's lookback and ``q = k + 2c`` inputs); beside them the run
+    keeps each tick's response to tick 0, the guard's weights, ``A``'s
+    powers of two and the input columns ``A^t [N, G]``. A tick pays its
+    share of a block step: a fixed ``step`` of Python (with absorbers,
+    ``7 us`` more to form the lookback and keep the samples), the carry
+    product, the lookback over ``span`` samples per channel and the
+    block's readout (the rows the trace reads, the guard's bound, the end
+    state and samples). It also pays its share of the map build, spread
+    over the run: one product per tick of the stride for the open loop's
+    rows and one more for its input columns, the floats the build writes
+    (its maps and the lagged commands, moved by gathers) and its
+    multiply-adds. Measured on a 2-core x86-64 host with OpenBLAS at its
+    default threads: ``step`` 4 us, the carry 290 ps an entry, the
+    lookback 100 ps and the readout 40 ps a multiply-add, and in the build
+    3 ns a float written and 50 ps a multiply-add. The cost is convex in
+    the stride but for the small step ``powers`` takes at each power of
+    two. The candidates tile the output grid: multiples of
+    ``out_every`` whose maps hold at most JUMP_MAP_FLOATS floats or, when
+    ``out_every`` alone overflows them, its divisors that fit (else one
+    tick).
     """
     q = k + 2 * c
-    step = 160_000  # 4 us at 25 ps a float
+    step = 4_000_000
 
     def cols(s):
         return dim + s * (c + q)
@@ -703,15 +788,21 @@ def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
         return (len(range(0, s, out_every)) * c
                 + 2 * len(range(out_every, s, out_every)) * m + dim + c * s)
 
-    def fits(s):
-        # ``full``, ``carry``, ``past``, ``tick``, ``response`` and ``peak``
+    def held(s):
+        # ``full`` and ``peak``, ``carry``, ``past``, ``response``,
+        # ``powers`` and ``impulse``
         return ((rows(s) + c + m) * cols(s) + (dim + c * s) ** 2 + span * s
-                + dim * (dim + k + c) + s * (c + m) * (dim + q)) <= JUMP_MAP_FLOATS
+                + s * (c + m) * (dim + q) + int(s).bit_length() * dim * dim
+                + s * dim * (k + c))
+
+    def fits(s):
+        return held(s) <= JUMP_MAP_FLOATS
 
     def cost(s):
-        # the readout multiplies ``full`` and ``peak``
-        block = step + (dim + c * s) ** 2 + c * span * s + (rows(s) + c + m) * cols(s)
-        build = s * (12 * step + 4 * (dim + k + c + m) * dim * (dim + q))
+        block = (step + 7_000_000 * (c > 0) + 290 * (dim + c * s) ** 2
+                 + 100 * c * span * s + 40 * (rows(s) + c + m) * cols(s))
+        build = (step * s * (1 + (k + c > 0)) + 3000 * (held(s) + c * s * s * (dim + q))
+                 + 50 * dim * s * ((2 * c + m + k) * dim + c * s * (c + m + q)))
         return block / s + build / n_ctrl
 
     if not fits(out_every):

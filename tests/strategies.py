@@ -67,15 +67,32 @@ def same_bits(got, want):
         got.tobytes() == want.tobytes())
 
 
-def _dot(taps, history):
-    """``sum_i taps[i] * history[-1 - i]`` over the history there is."""
-    recent = history[-len(taps):][::-1]
-    return float(np.dot(taps[: len(recent)], recent))
+class _History:
+    """The newest ``size`` values pushed, newest first, as one contiguous
+    slice: each value is written at its ring slot and at the slot's mirror
+    ``size`` further on."""
+
+    def __init__(self, size):
+        self.size = size
+        self.count = 0
+        self.ring = np.zeros(2 * size)
+
+    def push(self, value):
+        self.count += 1
+        slot = -self.count % self.size
+        self.ring[slot] = self.ring[slot + self.size] = value
+
+    def dot(self, taps):
+        """``sum_i taps[i] * v_i`` over the values there are, ``v_0`` the
+        newest."""
+        n = min(len(taps), self.count)
+        slot = -self.count % self.size
+        return float(np.dot(taps[:n], self.ring[slot : slot + n]))
 
 
 class ReferenceAbsorber:
     """An absorber written from the equations in ``boundary``'s comments,
-    with plain lists of its past samples and sent ramp values. With ``h``
+    with the histories of its past samples and sent ramp values. With ``h``
     the wave FIR, ``h2`` the squared FIR (the head's echo taps past tap 0)
     and missing history zero, tick ``k`` gives
     head: u_k = r_k + sum_i h_i y_{k-i} - sum_{i>=1} h2_i r_{k-i}
@@ -86,14 +103,14 @@ class ReferenceAbsorber:
         self.taps = taps
         self.head = head
         self.squared = np.convolve(taps, taps)[: len(taps)]
-        self.samples, self.sent = [], []
+        self.samples, self.sent = _History(len(taps)), _History(len(taps))
 
     def step(self, measured, sent):
         if self.head:
-            echo = _dot(self.squared[1:], self.sent)
-            self.sent.append(sent)
-            self.samples.append(measured)
-            return sent + _dot(self.taps, self.samples) - echo
-        self.sent.append(sent)
-        self.samples.append(measured - _dot(self.taps, self.sent))
-        return sent + _dot(self.taps, self.samples)
+            echo = self.sent.dot(self.squared[1:])
+            self.sent.push(sent)
+            self.samples.push(measured)
+            return sent + self.samples.dot(self.taps) - echo
+        self.sent.push(sent)
+        self.samples.push(measured - self.sent.dot(self.taps))
+        return sent + self.samples.dot(self.taps)

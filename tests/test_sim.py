@@ -446,10 +446,10 @@ def test_block_stepper_matches_per_tick_reference(
 def test_block_stepper_matches_reference_over_long_run(
     monkeypatch, nominal_fir, variant
 ):
-    # 12 001 ticks: each absorber's two rolling arrays hold the 1500 values
+    # 18 001 ticks: each absorber's two rolling arrays hold the 1500 values
     # before a chunk, then up to CHUNK_BLOCKS strides of the chunk's (the
-    # strides here are 9 to 27 ticks), and move their newest 1500 to the
-    # front after every chunk; over the run they wrap about 8 times past
+    # strides here are 45 to 63 ticks), and move their newest 1500 to the
+    # front after every chunk; over the run they wrap about 12 times past
     # the 1501-tap span. The run crosses several chunks of full blocks,
     # with partial blocks at both events and at the end.
     strides = []
@@ -462,16 +462,16 @@ def test_block_stepper_matches_reference_over_long_run(
     monkeypatch.setattr(sim._BlockMaps, "__init__", recorded)
     cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
     spec = ScenarioSpec(
-        duration=120.0,
+        duration=180.0,
         events=((0.37, "set_v_ref", 1.0), (61.13, "set_d_ref", 1.4)),
         noise=NoiseSpec(variance=0.05, seed=21),
         variant=variant,
         out_every=9,
     )
-    assert 120.0 * cfg.fs_ctrl > 2 * (3 * len(nominal_fir.taps) + 1)
+    assert 180.0 * cfg.fs_ctrl > 2 * (3 * len(nominal_fir.taps) + 1)
     _assert_matches_reference(cfg, spec, nominal_fir)
     (stride,) = strides
-    assert 120.0 * cfg.fs_ctrl > 2 * sim.CHUNK_BLOCKS * stride
+    assert 180.0 * cfg.fs_ctrl > 2 * sim.CHUNK_BLOCKS * stride
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -496,19 +496,20 @@ def test_stride_below_out_every_matches_reference(
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noise"])
 @pytest.mark.parametrize("out_every", [1, 7])
-@pytest.mark.parametrize("times", [2, 3])
+@pytest.mark.parametrize("times", [2, 3, 22])
 def test_stride_above_out_every_matches_reference(
     monkeypatch, nominal_fir, variant, noisy, out_every, times
 ):
     # a block of several output intervals reads its interior samples from
     # the maps. The first event falls on the block tiling; the second falls
     # off it and off the output grid, so the short block before it holds an
-    # interior sample too, and so does the short block at the run's end
+    # interior sample too, and so does the short block at the run's end.
+    # 22 intervals of 7 ticks make a 154-tick stride, and a longer run
     stride = times * out_every
     monkeypatch.setattr(sim, "_block_stride", lambda *args: stride)
     ticks = (3 * stride, 7 * stride + out_every + 2)
     spec = ScenarioSpec(
-        duration=8.0,
+        duration=max(8.0, (ticks[1] + 3 * stride) / 100.0),
         events=((ticks[0] / 100.0, "set_v_ref", 1.0),
                 (ticks[1] / 100.0, "set_d_ref", 1.4)),
         noise=NoiseSpec(variance=0.05 if noisy else 0.0, seed=8),
@@ -546,6 +547,82 @@ def test_default_stride_matches_reference_on_noisy_platoon(
     assert (3000 - 340) // stride > sim.CHUNK_BLOCKS
 
 
+def _maps_built(config, spec, fir, **patched):
+    """The block maps ``run_scenario`` builds for ``spec``, with the
+    ``sim`` attributes in ``patched`` set meanwhile."""
+
+    class Built(Exception):
+        pass
+
+    init = sim._BlockMaps.__init__
+
+    def built(self, *args):
+        init(self, *args)
+        raise Built(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patched.items():
+            mp.setattr(sim, name, value)
+        mp.setattr(sim._BlockMaps, "__init__", built)
+        with pytest.raises(Built) as caught:
+            run_scenario(config, spec, fir=fir)
+    return caught.value.args[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    variant=st.sampled_from(VARIANTS),
+    noisy=st.booleans(),
+    stride=st.integers(1, 250),
+    every=st.integers(5, 30),
+    data=st.data(),
+)
+def test_block_maps_are_causal(nominal_fir, n, variant, noisy, stride, every, data):
+    # a short block of j ticks runs on the stride's maps (``step``): its
+    # first j ticks' responses, the positions at its interior samples, its
+    # samples, its lookback weights and the end state's input columns and
+    # powers, over z0, its lookback and its ticks' inputs. They must be
+    # the maps built for a j-tick stride
+    j = data.draw(st.integers(1, stride), label="j")
+    spec = ScenarioSpec(
+        duration=1.0, noise=NoiseSpec(variance=0.1, seed=1) if noisy else None,
+        variant=variant, out_every=every,
+    )
+    cfg = PlatoonConfig(n_vehicles=n)
+    long, short = (
+        _maps_built(cfg, spec, nominal_fir, _block_stride=lambda *args, s=s: s)
+        for s in (stride, j)
+    )
+    dim, c, q, m = long.dim, long.c, long.q, long.m
+
+    def leading(maps):
+        # the columns a j-tick block reads, in the maps' layout
+        lookback = dim + np.arange(c)[:, None] * maps.stride + np.arange(j)
+        return np.concatenate([np.arange(dim), lookback.ravel(),
+                               maps.head + np.arange(j * q)])
+
+    def samples(maps):
+        rows = maps.traced + dim + np.arange(c)[:, None] * maps.stride + np.arange(j)
+        return maps.full[rows.ravel()][:, leading(maps)]
+
+    def positions(maps):
+        first = maps.traced - maps.outputs[1] * m
+        return maps.full[first : first + (j - 1) // every * m][:, leading(maps)]
+
+    pairs = [
+        (long.response[:j], short.response),
+        (positions(long), positions(short)),
+        (samples(long), samples(short)),
+        (long.past[:, :j], short.past),
+        (long.impulse[:j], short.impulse),
+        (long.powers[: len(short.powers)], short.powers),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 14),
@@ -568,27 +645,14 @@ def test_block_stride_property(
     # divisor of it below, so full blocks tile the output grid, and the
     # arrays the block maps keep (the views into them aside) hold at most
     # the budget, unless the stride is down to one tick
-    class Built(Exception):
-        pass
-
-    init = sim._BlockMaps.__init__
-
-    def built(self, *args):
-        init(self, *args)
-        raise Built(self)
-
     spec = ScenarioSpec(
         duration=n_ctrl / 100.0,
         noise=NoiseSpec(variance=0.1, seed=1) if noisy else None,
         variant=variant,
         out_every=out_every,
     )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "JUMP_MAP_FLOATS", budget)
-        mp.setattr(sim._BlockMaps, "__init__", built)
-        with pytest.raises(Built) as caught:
-            run_scenario(PlatoonConfig(n_vehicles=n), spec, fir=nominal_fir)
-    blocks = caught.value.args[0]
+    blocks = _maps_built(PlatoonConfig(n_vehicles=n), spec, nominal_fir,
+                         JUMP_MAP_FLOATS=budget)
     stride = blocks.stride
     assert stride >= 1
     if stride > out_every:
