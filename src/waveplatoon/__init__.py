@@ -15,6 +15,7 @@ from .lti import (  # noqa: F401
     tf_mul,
     to_state_space,
 )
+from .plant import build_platoon, chain_state_space  # noqa: F401
 from .wave import (  # noqa: F401
     CouplingRatio,
     WaveApprox,
@@ -49,8 +50,6 @@ from .sim import (  # noqa: F401
     PlatoonConfig,
     ScenarioSpec,
     SimulationTrace,
-    build_platoon,
-    chain_state_space,
     inject_noise,
     run_scenario,
     trace_to_csv,

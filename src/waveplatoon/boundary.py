@@ -14,11 +14,12 @@ windows of the FIR's length.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidConfig
-from .lti import FrequencyResponse, _check_grid, eval_at, tf_add
+from .lti import FrequencyResponse, check_grid, eval_at, tf_add
 from .wave import DEFAULT_ITERATIONS, WaveFIR, wave_tf_exact
 
 SQUARED_FIR_TAIL_LIMIT = 0.01
@@ -250,8 +251,8 @@ class ChainModel:
     iterations: int = DEFAULT_ITERATIONS
 
     def __post_init__(self):
-        if self.n_vehicles < 2:
-            raise InvalidConfig("chain needs at least two vehicles")
+        if not isinstance(self.n_vehicles, Integral) or self.n_vehicles < 2:
+            raise InvalidConfig("chain needs a whole number, >= 2, of vehicles")
         if self.mode not in ("exact", "approx"):
             raise InvalidConfig(f"unknown evaluation mode {self.mode!r}")
 
@@ -277,7 +278,7 @@ class WaveTransferEvaluator:
         return complex(self.formula(self._wave_values([s])[0]))
 
     def freq_response(self, omegas):
-        w = _check_grid(omegas)
+        w = check_grid(omegas)
         g = self._wave_values(1j * w)
         return FrequencyResponse(w, self.formula(g))
 
@@ -301,6 +302,8 @@ def chain_tf_prediction(config, variant, n):
     """
     model = config
     last = model.n_vehicles - 1
+    if not isinstance(n, Integral):
+        raise InvalidConfig(f"vehicle index {n} is not a whole number")
     if not 0 <= n <= last:
         raise IndexOutOfRange(f"vehicle {n} outside 0..{last}")
     if variant not in VARIANTS:

@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .boundary import ChainModel, WaveTransferEvaluator
 from .errors import InvalidConfig, WavePlatoonError
-from .lti import freq_response
 from .metrics import maneuver_metrics, noise_metrics
 from .sim import NoiseSpec, PlatoonConfig, ScenarioSpec, run_scenario, trace_to_csv
 from .sweep import sweep
@@ -119,7 +119,11 @@ def _cmd_approx(v, args):
         delimiter=",", header="k,t,tap", comments="",
     )
     omegas = np.logspace(-2, 2, 400)
-    resp = freq_response(ap.approx, omegas).values
+    # the approximant by its defining recursion g <- 1/(a - g): in monomial
+    # form its denominator cancels to rounding at some stable gains, which
+    # reads as a pole on the grid
+    model = ChainModel(coup, 2, mode="approx", iterations=v["l"])
+    resp = WaveTransferEvaluator(model, lambda g: g).freq_response(omegas).values
     np.savetxt(
         out_dir / "wave_bode.csv",
         np.column_stack([omegas, np.abs(resp), np.angle(resp)]),

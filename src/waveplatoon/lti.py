@@ -28,7 +28,7 @@ from .errors import (
 SOLVE_CHUNK = 32
 
 
-def _trim(coeffs):
+def trim(coeffs):
     """Drop trailing coefficients that are exactly zero."""
     c = np.asarray(coeffs, dtype=float)
     nz = np.nonzero(c)[0]
@@ -52,7 +52,7 @@ class Polynomial:
             raise ValueError("coefficients must form a non-empty 1-D sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        self.coeffs = _trim(c)
+        self.coeffs = trim(c)
 
     @property
     def degree(self):
@@ -199,7 +199,7 @@ class StateSpace:
         return self.A.shape[0]
 
     def freq_response(self, omegas):
-        omegas = _check_grid(omegas)
+        omegas = check_grid(omegas)
         s = 1j * omegas[:, None]
         diag = np.arange(self.order)
         # sI - A in the arithmetic of s*eye - A: 0 - A off the diagonal (a
@@ -292,7 +292,7 @@ def impulse_response(a, fs, T):
     return h
 
 
-def _check_grid(omegas):
+def check_grid(omegas):
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("frequency grid must be a non-empty 1-D sequence")
@@ -317,5 +317,5 @@ class FrequencyResponse:
 
 def freq_response(a, omegas):
     """Evaluate ``a`` along the imaginary axis on the given grid."""
-    w = _check_grid(omegas)
+    w = check_grid(omegas)
     return FrequencyResponse(w, eval_at(a, 1j * w))

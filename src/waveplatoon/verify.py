@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .boundary import ChainModel, chain_tf_prediction, kappa_front, kappa_rear
 from .errors import ExtrapolationError
 from .lti import eval_at, freq_response
-from .sim import _chain_matrix, chain_state_space
+from .plant import chain_matrix, chain_state_space
 from .wave import (
     DEFAULT_FIR_SPAN,
     coupling_from_gains,
@@ -20,17 +20,6 @@ from .wave import (
     wave_tf_approx,
     wave_tf_exact,
     wave_tf_pair,
-)
-
-SUITES = (
-    "quadratic",
-    "stability",
-    "approximation",
-    "string_stability",
-    "chain_oracle",
-    "absorption",
-    "end_gains",
-    "fir",
 )
 
 # the depth-L approximant is accurate only above its L-follower chain's
@@ -197,7 +186,7 @@ def _absorbing_end_error(kp, ki, xi, probes, g):
     coupling ratio. An end that passes each wave on leaves no reflection,
     so the followers move as in a semi-infinite chain: x_n = g**n x_0.
     """
-    a = _chain_matrix(6, kp, ki, xi, True)[0]
+    a = chain_matrix(6, kp, ki, xi, True)[0]
     inner = slice(3, 15)
     a_ff, head, tail = a[inner, inner], a[inner, 0], a[inner, 15]
     powers = np.arange(1, 5)
@@ -293,6 +282,7 @@ _SUITE_FNS = {
     "end_gains": _suite_end_gains,
     "fir": _suite_fir,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def verify(suites=None, kp=4.0, ki=4.0, xi=4.0, iterations=20, fs=100.0,

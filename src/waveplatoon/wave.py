@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeOverflow, ZeroNumerator, DegenerateDenominator
-from .lti import RationalTF, _trim, impulse_response, sample_count, tf_add, tf_inv, tf_mul
+from .lti import RationalTF, impulse_response, sample_count, tf_add, tf_inv, tf_mul, trim
 
 # Denominator-degree cap for the continued-fraction recursion. At depth L
 # the degree is at most L times the coupling's numerator degree (exactly 3L
@@ -133,7 +133,7 @@ def wave_tf_approx(coupling, iterations=DEFAULT_ITERATIONS):
         num = np.zeros(max(len(left), len(right)))
         num[: len(left)] += left
         num[: len(right)] += right
-        num = _trim(num)
+        num = trim(num)
         if len(num) == 1 and num[0] == 0.0:
             _check_finite(den)
             raise DegenerateDenominator("recursion step produced a zero denominator")

@@ -25,11 +25,11 @@ from waveplatoon.boundary import (
 )
 from waveplatoon.lti import eval_at, tf_add
 from waveplatoon.metrics import noise_metrics
+from waveplatoon.plant import chain_state_space
 from waveplatoon.sim import (
     NoiseSpec,
     PlatoonConfig,
     ScenarioSpec,
-    chain_state_space,
     run_scenario,
     trace_to_csv,
 )

@@ -36,6 +36,20 @@ def test_approx_writes_tables(tmp_path, capsys):
     assert np.all(bode[fast, 1] <= 1.0 + 1e-3)
 
 
+def test_approx_at_a_routh_stable_draw(tmp_path, capsys):
+    # draw 82 of the design workload's gains: the monomial approximant's
+    # denominator reads zero at a probe, the defining recursion does not
+    code, _, _ = run_cli(
+        capsys, "approx", "--kp", "7.5435824020724915", "--ki", "8.058491329807119",
+        "--xi", "2.149135223754593", "--out", str(tmp_path),
+    )
+    assert code == 0
+    bode = np.loadtxt(tmp_path / "wave_bode.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(bode))
+    fast = bode[:, 0] >= 1.0
+    assert np.all(bode[fast, 1] <= 1.0 + 1e-3)
+
+
 def test_simulate_reports_metrics(tmp_path, capsys):
     trace = tmp_path / "run.csv"
     code, out, _ = run_cli(
@@ -209,9 +223,11 @@ def test_bad_sweep_inputs_are_errors(tmp_path, capsys, argv, message):
         (["approx", "--l", "0"], "l must be >= 1"),
         (["sweep", "--n-list", "3", "--fs", "0"], "fs_ctrl must be finite and positive"),
         (["sweep", "--n-list", "3", "--fs", "inf"], "fs_ctrl must be finite and positive"),
+        (["simulate", "--n", "3", "--duration", "1", "--sigma2", "1", "--seed", "-1"],
+         "noise seed must be a whole number >= 0"),
     ],
     ids=["approx-fs-0", "approx-fs-inf", "approx-fs-nan", "approx-truncate-negative",
-         "approx-l-0", "sweep-fs-0", "sweep-fs-inf"],
+         "approx-l-0", "sweep-fs-0", "sweep-fs-inf", "simulate-seed-negative"],
 )
 def test_bad_design_rates_are_errors(tmp_path, capsys, argv, message):
     # each once ended in a ValueError or OverflowError traceback from the

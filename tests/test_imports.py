@@ -1,5 +1,6 @@
-"""Every import in the package is used by the module that makes it, and
-every error type it declares is raised.
+"""Every import in the package is used by the module that makes it, every
+error type it declares is raised, and the modules import one another in
+one order, by public names only.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 bound by an import must appear as a name somewhere else in the module.
@@ -86,3 +87,49 @@ def test_every_error_type_is_raised():
         raised |= raised_names(path.read_text())
     assert declared
     assert [name for name in declared if name not in raised] == []
+
+
+# the package's layers, lowest first: each module imports only siblings
+# before it, so ``plant`` sees no sibling but ``errors`` and ``lti``
+LAYERS = ("errors", "lti", "plant", "wave", "boundary", "sim", "metrics",
+          "sweep", "verify", "cli")
+
+
+def sibling_imports(source):
+    """``(module, name)`` for each name ``source`` imports from a sibling
+    module by a relative import."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_sibling_imports_are_found():
+    source = (
+        "import numpy as np\n"
+        "from .a import b, _c\n"
+        "from waveplatoon.d import e\n"
+    )
+    assert sibling_imports(source) == [("a", "b"), ("a", "_c")]
+
+
+def test_layers_cover_the_package():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(LAYERS) == sorted(modules)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_import_only_lower_layers(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    below = LAYERS[: LAYERS.index(module)]
+    assert [m for m, _ in sibling_imports(source) if m not in below] == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_imports_a_private_name(path):
+    names = sibling_imports(path.read_text())
+    assert [(m, name) for m, name in names if name.startswith("_")] == []

@@ -27,7 +27,7 @@ from waveplatoon.errors import (
     ZeroNumerator,
 )
 from waveplatoon.boundary import ChainModel, chain_tf_prediction
-from waveplatoon.sim import chain_state_space
+from waveplatoon.plant import chain_state_space
 from waveplatoon.wave import coupling_from_gains, wave_tf_approx
 
 

@@ -14,15 +14,13 @@ from waveplatoon.boundary import (
     kappa_front,
     kappa_rear,
 )
+from waveplatoon.plant import PlatoonDynamics, build_platoon, chain_state_space
 from waveplatoon.sim import (
     VARIANTS,
     Event,
     NoiseSpec,
     PlatoonConfig,
-    PlatoonDynamics,
     ScenarioSpec,
-    build_platoon,
-    chain_state_space,
     inject_noise,
     run_scenario,
     trace_to_csv,
@@ -95,10 +93,18 @@ _NAN = float("nan")
     lambda: PlatoonConfig(n_vehicles=5, dt=_NAN),
     lambda: ScenarioSpec(duration=10.0, out_every=2.5),
     lambda: PlatoonConfig(n_vehicles=5.5),
+    lambda: NoiseSpec(variance=1.0, seed=-1),
+    lambda: NoiseSpec(variance=1.0, seed=1.5),
+    lambda: ChainModel(coupling_from_gains(4.0, 4.0, 4.0), 4.5),
+    lambda: chain_tf_prediction(ChainModel(coupling_from_gains(4.0, 4.0, 4.0), 4),
+                                "none", 1.5),
+    lambda: chain_state_space(4.0, 4.0, 4.0, 2.5),
 ], ids=[
     "nan-duration", "inf-duration", "nan-event-time", "nan-event-value",
     "nan-kp", "nan-ki", "nan-xi", "nan-d_ref0", "nan-dt",
-    "fractional-out_every", "fractional-n_vehicles",
+    "fractional-out_every", "fractional-n_vehicles", "negative-seed",
+    "fractional-seed", "fractional-chain-size", "fractional-chain-index",
+    "fractional-state-space-size",
 ])
 def test_bad_inputs_raise_invalid_config(make):
     # each was once accepted here and failed later with another error (a
