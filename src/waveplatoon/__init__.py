@@ -12,7 +12,6 @@ from .lti import (  # noqa: F401
     impulse_response,
     tf_add,
     tf_inv,
-    tf_mul,
     to_state_space,
 )
 from .plant import build_platoon, chain_state_space  # noqa: F401
@@ -21,9 +20,6 @@ from .wave import (  # noqa: F401
     WaveApprox,
     WaveFIR,
     coupling_from_gains,
-    friction_plant,
-    make_coupling,
-    pi_controller,
     wave_fir,
     wave_tf_approx,
     wave_tf_exact,
@@ -33,7 +29,6 @@ from .boundary import (  # noqa: F401
     AbsorberState,
     ChainModel,
     ChainPrediction,
-    Ramp,
     absorber_front_step,
     absorber_rear_step,
     chain_tf_prediction,

@@ -60,7 +60,7 @@ def kappa_rear(coupling):
 
 
 def ramp_slopes(v_ref, d_ref, kappa_front, kappa_rear):
-    """Ramp slopes ``(w0, wr)`` for the two command ends.
+    """Slopes ``(w0, wr)`` of the ramps the two command ends follow.
 
     The head command ramps at w0 = (v_ref - kappa_front*d_ref)/2 and the
     tail command at wr = (v_ref - kappa_rear*d_ref)/2; v_ref and d_ref are
@@ -69,26 +69,6 @@ def ramp_slopes(v_ref, d_ref, kappa_front, kappa_rear):
     w0 = 0.5 * (v_ref - kappa_front * d_ref)
     wr = 0.5 * (v_ref - kappa_rear * d_ref)
     return w0, wr
-
-
-@dataclass(frozen=True)
-class Ramp:
-    """Piecewise-linear command: offset + slope*(t - start), flat before start."""
-
-    slope: float
-    start: float = 0.0
-    offset: float = 0.0
-
-    def __call__(self, t):
-        return self.offset + self.slope * max(0.0, t - self.start)
-
-    def sample(self, times):
-        """The ramp at each of an array of ``times``."""
-        return self.offset + self.slope * np.maximum(0.0, times - self.start)
-
-    def continued(self, slope, at):
-        """New ramp with a different slope, continuous at time ``at``."""
-        return Ramp(slope, at, self(at))
 
 
 def squared_fir(fir):
@@ -255,6 +235,8 @@ class ChainModel:
             raise InvalidConfig("chain needs a whole number, >= 2, of vehicles")
         if self.mode not in ("exact", "approx"):
             raise InvalidConfig(f"unknown evaluation mode {self.mode!r}")
+        if not isinstance(self.iterations, Integral) or self.iterations < 1:
+            raise InvalidConfig("approximant depth must be a whole number >= 1")
 
 
 class WaveTransferEvaluator:

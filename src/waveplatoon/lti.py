@@ -159,12 +159,6 @@ def tf_add(a, b):
     return RationalTF(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
-def tf_mul(a, b):
-    """Product of two rational functions, normalized to a monic denominator."""
-    a, b = as_tf(a), as_tf(b)
-    return RationalTF(a.num * b.num, a.den * b.den)
-
-
 def tf_inv(a):
     """Reciprocal of a rational function."""
     a = as_tf(a)

@@ -17,15 +17,17 @@ trace reads, the block's samples and the state at its end, and every
 tick's commands and velocities on demand; the FIR over the samples before
 a block enters as a known term. The simulator owns the ramps, the tick
 clock and each absorber's samples, in a rolling array that ``boundary``'s
-stateless equations read. What an absorber sends is its end's ramp, a sum
-of hinges at the ramp's slope changes, so its echo has a closed form in
-them (``boundary.ramp_echo``); a run without events forms none. Every run
-advances its consecutive full blocks a chunk at a time. What the state
-does not touch is worked out once per chunk: the reference inputs, the
-noise, and each absorber's ramp and the echo of it. Only the end-state
-recursion and, with absorbers, each block's samples and the FIR over the
-samples before it run block by block, written in place into the chunk's
-arrays. One product over the chunk then gives the rows the trace reads.
+stateless equations read. Each end's ramp is held only as its slope
+changes, a sum of hinges, so its echo has a closed form in them
+(``boundary.ramp_echo``); a run without events forms none. The reference
+slots of the augmented state are set at the start of a run and at each
+event, and the tick map carries them between events. Every run advances
+its consecutive full blocks a chunk at a time. What the state does not
+touch is worked out once per chunk: the noise, and each absorber's ramp
+and the echo of it. Only the end-state recursion and, with absorbers,
+each block's samples and the FIR over the samples before it run block by
+block, written in place into the chunk's arrays. One product over the
+chunk then gives the rows the trace reads.
 Velocities are one linear readout of the augmented state, shared by the
 trace and the check of every tick against ``VELOCITY_LIMIT``: the largest
 weights each velocity has over a block's ticks bound every tick at once,
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 from .boundary import absorber_front_step, absorber_rear_step  # noqa: F401
 from .boundary import (
     VARIANTS,
-    Ramp,
     echo_taps,
     kappa_front,
     kappa_rear,
@@ -195,9 +196,10 @@ class _ReferenceTracker:
 
     Slopes are computed from deviations relative to the initial equilibrium
     (at rest, spacing d_ref0), the regime every scenario here starts from.
-    Each end's ramp starts at zero, and ``bends[end]`` lists its slope
-    changes as ``(tick, change)``: the ramp is their sum of hinges, from
-    which an absorber's echo of it has a closed form.
+    Each end's ramp starts at zero with slope ``slope[end]``, and
+    ``bends[end]`` lists its slope changes as ``(tick, change)``: the ramp
+    is their sum of hinges (``sent``), from which an absorber's echo of it
+    has a closed form.
     """
 
     def __init__(self, config, variant):
@@ -205,12 +207,16 @@ class _ReferenceTracker:
         self.variant = variant
         self.v_target = 0.0
         self.d_target = config.d_ref0
-        self.front_ramp = Ramp(0.0)
-        self.rear_ramp = Ramp(0.0)
+        self.slope = {"front": 0.0, "rear": 0.0}
         self.bends = {"front": [], "rear": []}
 
+    def sent(self, end, ticks):
+        """The ramp of ``end`` at ``ticks`` (a number or an array):
+        ``dt * sum change * max(0, ticks - tick)`` over its bends."""
+        return (1.0 / self.config.fs_ctrl) * sum(
+            change * np.maximum(0, ticks - tick) for tick, change in self.bends[end])
+
     def apply(self, event, tick):
-        t = tick * (1.0 / self.config.fs_ctrl)
         if event.kind == "set_v_ref":
             self.v_target = event.value
         else:
@@ -230,10 +236,9 @@ class _ReferenceTracker:
         w0, wr = ramp_slopes(v_dev, d_dev, k_front, k_rear)
         front_slope = w0 if self.variant in ("front", "two_sided") else v_dev
         for end, slope in (("front", front_slope), ("rear", wr)):
-            ramp = getattr(self, end + "_ramp")
-            if slope != ramp.slope:
-                self.bends[end].append((tick, slope - ramp.slope))
-            setattr(self, end + "_ramp", ramp.continued(slope, t))
+            if slope != self.slope[end]:
+                self.bends[end].append((tick, slope - self.slope[end]))
+                self.slope[end] = slope
 
 
 # the arrays a run's block maps keep grow with the stride (their rows over
@@ -247,8 +252,8 @@ CHUNK_BLOCKS = 128
 class _Channel(NamedTuple):
     """One absorber end as the block stepper sees it.
 
-    ``end`` is ``"front"`` or ``"rear"``: the absorber sends the values of
-    that end's ``_ReferenceTracker`` ramp, and ``echo`` is its echo taps'
+    ``end`` is ``"front"`` or ``"rear"``: the absorber sends that end's
+    ``_ReferenceTracker`` ramp (``sent``), and ``echo`` is its echo taps'
     ramp response (``boundary.ramp_response``), which turns the ramp's
     bends into its echo. The command written to ``z[fresh]`` is
     ``command0`` plus the absorber's output; the absorber measures
@@ -311,13 +316,12 @@ class _BlockMaps:
 
     ``chunk`` advances many full blocks with the same maps. The inputs
     known before the chunk enter through one product; the reference slots
-    in ``ref_slots``, which each block overwrites, are among them, and
-    ``carry``, the map of ``[z, lookback]`` to ``[end state, samples]``,
-    has their columns zeroed. Only the recursion through ``carry`` and
-    the lookback of each block run block by block.
+    ride in ``z``, and the maps carry them like any other state. Only the
+    recursion through ``carry``, the map of ``[z, lookback]`` to ``[end
+    state, samples]``, and the lookback of each block run block by block.
     """
 
-    def __init__(self, dyn, stride, every, channels, noisy, taps, ref_slots):
+    def __init__(self, dyn, stride, every, channels, noisy, taps):
         self.dim = dim = dyn.dim
         self.m = m = dyn.config.n_vehicles
         self.c = c = len(channels)
@@ -326,7 +330,6 @@ class _BlockMaps:
         self.r = r = c + m
         self.stride = s = stride
         self.every = every
-        self.ref_slots = ref_slots
         d = dim + q
         picks = (np.arange(0, s, every), np.arange(every - 1, s - 1, every))
         fresh = [ch.fresh for ch in channels]
@@ -451,7 +454,6 @@ class _BlockMaps:
                samples[:, :, :dim], samples[:, :, dim:], np.arange(s))
         self.next = self.full[self.traced :]
         self.carry = self.next[:, :head].copy()
-        self.carry[:, ref_slots] = 0.0
         self.past = past_taps(taps, s)
         self.span = len(self.past)
         self.response = rows
@@ -496,14 +498,13 @@ class _BlockMaps:
             out[:, lag:] += drive[:, : j - lag] @ self.response[lag, :, dim:].T
         return out
 
-    def chunk(self, z, ref, x, hist):
+    def chunk(self, z, x, hist):
         """Consecutive full blocks from ``z``, one row of ``x`` each.
 
-        Row ``b`` of ``ref`` holds block ``b``'s reference slots, and row
-        ``b`` of ``x`` its known inputs after the lookback columns. Each
-        channel's row of ``hist`` starts with the ``span`` samples before
-        the chunk and takes the chunk's samples after them. ``x`` gets
-        each block's ``z`` (with its reference slots) and lookback.
+        Row ``b`` of ``x`` holds block ``b``'s known inputs after the
+        lookback columns. Each channel's row of ``hist`` starts with the
+        ``span`` samples before the chunk and takes the chunk's samples
+        after them. ``x`` gets each block's ``z`` and lookback.
         Returns each block's commands at its output samples, velocities
         after the tick before each interior sample and positions at them,
         ``z`` after the last block, and a bound on every tick's |velocity|
@@ -517,8 +518,7 @@ class _BlockMaps:
         and their exact peak returned, as ``step`` does.
         """
         dim, head, c, s, span = self.dim, self.head, self.c, self.stride, self.span
-        u = (ref @ self.next[:, self.ref_slots].T
-             + x[:, head:] @ self.next[:, head:].T)
+        u = x[:, head:] @ self.next[:, head:].T
         for b, u_b in enumerate(u):
             x[b, :dim] = z
             if c:
@@ -529,7 +529,6 @@ class _BlockMaps:
             if c:
                 hist[:, span + b * s : span + (b + 1) * s] = out[dim:].reshape(c, s)
             z = out[:dim]
-        x[:, self.ref_slots] = ref
         traced = self._split(x @ self.full[: self.traced].T)
         bound = np.abs(x) @ self.peak.T
         speed = bound[:, c:].max()
@@ -538,9 +537,9 @@ class _BlockMaps:
             speed = _peak(self._every_tick(x, s), c)
         return (*traced, z, speed)
 
-    def step(self, z, ref, x, hist):
+    def step(self, z, x, hist):
         """One block of ``j`` ticks, fewer than a stride or the run's last
-        tick, with ``ref``, ``x`` and ``hist`` laid out as for ``chunk``
+        tick, with ``x`` and ``hist`` laid out as for ``chunk``
         (one row of ``x``, ``j`` samples after the ``span`` in ``hist``).
         Returns what ``chunk`` does for the block, with the exact peak of
         every tick's |velocity|."""
@@ -549,7 +548,6 @@ class _BlockMaps:
         j = hist.shape[1] - span
         xb = x[0]
         xb[:dim] = z
-        xb[self.ref_slots] = ref[0]
         xb[dim:head].reshape(c, s)[:, :j] = hist[:, :span] @ self.past[:, :j]
         cols = head + j * q
         rows = self._every_tick(x, j)
@@ -684,8 +682,10 @@ def run_scenario(config, scenario, fir=None):
     through those maps in chunks of up to ``CHUNK_BLOCKS``; a block cut
     short by an event or the run's end takes the leading part of the same
     maps, and after an event off the output grid a short block runs to
-    the next output sample. Each chunk or short block draws its noise,
-    samples its ramps and forms their echo in one call, and is checked
+    the next output sample. The state's reference slots are set at the
+    start and at each event, and the maps carry them in between. Each
+    chunk or short block draws its noise, samples the absorbers' ramps
+    and forms their echo in one call, and is checked
     whole before its samples join the absorber histories: the divergence
     guard sees every vehicle's velocity at every tick, through a bound
     over the chunk's ticks or, when that does not clear it, each tick's
@@ -742,13 +742,7 @@ def run_scenario(config, scenario, fir=None):
     stride = _block_stride(
         out_every, n_ctrl, dyn.dim, m, c, noise_cols, len(taps) - 1
     )
-    # the reference slots each block sets
-    ref_slots = [] if front_abs else [dyn.ramp, dyn.ramp_slope]
-    if not rear_abs:
-        ref_slots.append(dyn.spacing)
-    blocks = _BlockMaps(
-        dyn, stride, out_every, channels, rng is not None, taps, ref_slots
-    )
+    blocks = _BlockMaps(dyn, stride, out_every, channels, rng is not None, taps)
     command0 = np.array([ch.command0 for ch in channels])
     sample0 = np.array([ch.sample0 for ch in channels])
     # each channel's samples: the ``span`` before a chunk, then the
@@ -768,9 +762,19 @@ def run_scenario(config, scenario, fir=None):
     next_event = 0
     k = 0
     while True:
+        reset = k == 0
         while next_event < len(events) and event_ticks[next_event] <= k:
             refs.apply(events[next_event], k)
             next_event += 1
+            reset = True
+        if reset:
+            # the reference slots, which the tick map carries to the next
+            # event
+            if not front_abs:
+                z[dyn.ramp] = x_first0 + refs.sent("front", k)
+                z[dyn.ramp_slope] = refs.slope["front"]
+            if not rear_abs:
+                z[dyn.spacing] = refs.d_target
 
         limit = n_ctrl
         if next_event < len(events):
@@ -790,26 +794,18 @@ def run_scenario(config, scenario, fir=None):
         # the last tick is a one-tick block that gives its commands only
         j = max(j, 1)
         starts = k + stride * np.arange(nb)
-        t = starts * ctrl_dt
-        ref = np.empty((nb, len(ref_slots)))
-        if not front_abs:
-            ref[:, 0] = x_first0 + refs.front_ramp.sample(t)
-            ref[:, 1] = refs.front_ramp.slope
-        if not rear_abs:
-            ref[:, -1] = refs.d_target
         x = np.zeros((nb, blocks.head + stride * blocks.q))
         feed = x[:, blocks.head : blocks.head + j * blocks.q].reshape(nb, j, -1)
         if rng is not None:
             feed[:, :, :noise_cols] = inject_noise(rng, sigma2, (nb, j, noise_cols))
         size = span + nb * j
         if channels:
-            times = t[:, None] + np.arange(j) / config.fs_ctrl
+            block_ticks = starts[:, None] + np.arange(j)
             for i, ch in enumerate(channels):
-                known = getattr(refs, ch.end + "_ramp").sample(times)
+                known = refs.sent(ch.end, block_ticks)
                 offset = 0.0
                 if refs.bends[ch.end]:
-                    echo = ramp_echo(ch.echo, refs.bends[ch.end],
-                                     starts[:, None] + np.arange(j), ctrl_dt)
+                    echo = ramp_echo(ch.echo, refs.bends[ch.end], block_ticks, ctrl_dt)
                     if ch.end == "front":
                         known -= echo
                     else:
@@ -819,7 +815,7 @@ def run_scenario(config, scenario, fir=None):
         # a diverging chunk may overflow; the guard reports it
         with np.errstate(over="ignore", invalid="ignore"):
             advance = blocks.chunk if j == stride else blocks.step
-            cmds, vels, inner, end, peak = advance(z, ref, x, samples[:, :size])
+            cmds, vels, inner, end, peak = advance(z, x, samples[:, :size])
         if k < n_ctrl:
             _guard(peak, x, samples[:, span:size], end)
 
@@ -842,7 +838,7 @@ def run_scenario(config, scenario, fir=None):
         if front_abs:
             cmd[:, :, 0] = cmds[sampled, :, 0]
         else:
-            c_out[out, 0] = x_first0 + refs.front_ramp.sample(t_out[out])
+            c_out[out, 0] = x_first0 + refs.sent("front", ticks.ravel())
         if rear_abs:
             cmd[:, :, 1] = cmds[sampled, :, c - 1]
         row += ticks.size

@@ -84,6 +84,9 @@ def sweep(
         raise InvalidConfig(f"unknown variant(s): {', '.join(map(str, unknown))}")
     if not (np.isfinite(fs_ctrl) and fs_ctrl > 0):
         raise InvalidConfig(f"fs_ctrl must be finite and positive, got {fs_ctrl}")
+    missing = [v for v in variants if durations and v not in durations]
+    if missing:
+        raise InvalidConfig(f"no duration for variant(s): {', '.join(missing)}")
     n_max = max(n_list)
     fir = None
     if any(v != "none" for v in variants):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOverflow, ZeroNumerator, DegenerateDenominator
-from .lti import RationalTF, impulse_response, sample_count, tf_add, tf_inv, tf_mul, trim
+from .errors import DegreeOverflow, DegenerateDenominator
+from .lti import RationalTF, impulse_response, sample_count, tf_add, tf_inv, trim
 
 # Denominator-degree cap for the continued-fraction recursion. At depth L
 # the degree is at most L times the coupling's numerator degree (exactly 3L
@@ -25,16 +25,6 @@ MAX_APPROX_DEGREE = 200
 DEFAULT_ITERATIONS = 20
 DEFAULT_FIR_RATE = 100.0
 DEFAULT_FIR_SPAN = 15.0
-
-
-def friction_plant(xi):
-    """Double-integrator vehicle with linear friction: 1/(s^2 + xi*s)."""
-    return RationalTF([1.0], [0.0, float(xi), 1.0])
-
-
-def pi_controller(kp, ki):
-    """PI controller acting on distance error: (kp*s + ki)/s."""
-    return RationalTF([float(ki), float(kp)], [0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -47,18 +37,11 @@ class CouplingRatio:
         return self.tf(s)
 
 
-def make_coupling(plant, controller):
-    """Build the coupling ratio 1/(P*C) + 2 for the given loop pieces."""
-    loop = tf_mul(plant, controller)
-    if loop.num.is_zero:
-        raise ZeroNumerator("plant*controller has zero numerator")
-    tf = tf_add(tf_inv(loop), RationalTF.constant(2.0))
-    return CouplingRatio(tf=tf)
-
-
 def coupling_from_gains(kp, ki, xi):
-    """Coupling ratio for the standard friction plant + PI controller."""
-    return make_coupling(friction_plant(xi), pi_controller(kp, ki))
+    """Coupling ratio ``1/(P C) + 2`` for the friction plant
+    ``P = 1/(s^2 + xi s)`` under the PI controller ``C = (kp s + ki)/s``;
+    a zero loop (kp = ki = 0) raises ``ZeroNumerator``."""
+    return CouplingRatio(tf_add(tf_inv(RationalTF([ki, kp], [0.0, 0.0, xi, 1.0])), 2.0))
 
 
 def wave_tf_exact(coupling_value):

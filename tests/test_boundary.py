@@ -12,7 +12,6 @@ from strategies import (
 from waveplatoon.boundary import (
     VARIANTS,
     ChainModel,
-    Ramp,
     absorber_front_step,
     absorber_rear_step,
     chain_tf_prediction,
@@ -28,7 +27,7 @@ from waveplatoon.boundary import (
     squared_fir,
 )
 from waveplatoon.errors import IndexOutOfRange, InvalidConfig
-from waveplatoon.lti import eval_at, tf_mul
+from waveplatoon.lti import RationalTF, eval_at
 from waveplatoon.wave import (
     CouplingRatio,
     coupling_from_gains,
@@ -65,7 +64,8 @@ def test_absorption_null(nominal):
 def test_end_gains_refuse_couplings_off_the_series():
     # ki = -4 gives c = xi/ki < 0, and a coupling scaled by 1.001 is not 2
     # at s = 0: neither has end gains, and both gains must say so
-    scaled = CouplingRatio(tf_mul(coupling_from_gains(4.0, 4.0, 4.0).tf, 1.001))
+    tf = coupling_from_gains(4.0, 4.0, 4.0).tf
+    scaled = CouplingRatio(RationalTF(tf.num.coeffs * 1.001, tf.den.coeffs))
     for c in (coupling_from_gains(4.0, -4.0, 4.0), scaled):
         for gain in (kappa_front, kappa_rear):
             with pytest.raises(InvalidConfig):
@@ -99,15 +99,6 @@ def test_ramp_slopes():
     assert ramp_slopes(1.0, 0.0, -1.0, 1.0) == pytest.approx((0.5, 0.5))
 
 
-def test_ramp_piecewise():
-    r = Ramp(2.0, start=1.0)
-    assert r(0.5) == 0.0
-    assert r(2.0) == pytest.approx(2.0)
-    r2 = r.continued(0.5, at=2.0)
-    assert r2(2.0) == pytest.approx(r(2.0))
-    assert r2(4.0) == pytest.approx(2.0 + 0.5 * 2.0)
-
-
 def test_squared_fir(nominal_fir):
     sq = squared_fir(nominal_fir)
     assert len(sq.taps) == len(nominal_fir.taps)
@@ -136,9 +127,8 @@ def test_front_absorber_quiet(nominal_fir):
 def test_front_absorber_initial_slope(nominal_fir):
     # quiet neighbor: command starts ramping at exactly the ramp slope
     state = make_front_absorber(nominal_fir)
-    ramp = Ramp(0.5)
     dt = 1.0 / nominal_fir.fs
-    cmds = [absorber_front_step(state, 0.0, ramp(k * dt)) for k in range(40)]
+    cmds = [absorber_front_step(state, 0.0, 0.5 * k * dt) for k in range(40)]
     v = np.diff(cmds) / dt
     assert v[0] == pytest.approx(0.5, abs=1e-9)
     assert v[5] == pytest.approx(0.5, abs=1e-3)

@@ -19,7 +19,7 @@ from waveplatoon.sim import NoiseSpec, PlatoonConfig, ScenarioSpec, SimulationTr
 from waveplatoon.sweep import acceleration_scenario, sweep, sweep_duration
 from waveplatoon.verify import SUITES, origin_limit, verify
 from waveplatoon.wave import CouplingRatio, coupling_from_gains, wave_tf_exact
-from waveplatoon.lti import eval_at, tf_mul
+from waveplatoon.lti import RationalTF, eval_at
 
 VERIFY = sys.modules["waveplatoon.verify"]
 
@@ -176,6 +176,17 @@ def test_sweep_rejects_unknown_variants_before_any_cell_runs(monkeypatch):
         sweep((3, 4), variants=("none", "sideways"))
 
 
+def test_sweep_rejects_missing_durations_before_any_cell_runs(monkeypatch):
+    # a durations dict must name every variant swept; a partial one once
+    # ended in a bare KeyError from inside the first cell that lacked one
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sys.modules["waveplatoon.sweep"], "run_scenario", no_run)
+    with pytest.raises(InvalidConfig, match="front"):
+        sweep((3,), variants=("none", "front"), durations={"none": 5.0})
+
+
 def test_sweep_reports_cell_errors():
     result = sweep(
         (3, 4),
@@ -256,7 +267,7 @@ def test_absorbing_end_law_holds_and_can_fail(gains):
 def test_verify_reflection_null_fails_on_wrong_coupling(monkeypatch):
     def off_coupling(kp, ki, xi):
         c = coupling_from_gains(kp, ki, xi)
-        return CouplingRatio(tf_mul(c.tf, 1.001))
+        return CouplingRatio(RationalTF(c.tf.num.coeffs * 1.001, c.tf.den.coeffs))
 
     monkeypatch.setattr(VERIFY, "coupling_from_gains", off_coupling)
     checks = {c.name: c for c in verify("absorption").checks}

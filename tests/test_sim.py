@@ -99,12 +99,16 @@ _NAN = float("nan")
     lambda: chain_tf_prediction(ChainModel(coupling_from_gains(4.0, 4.0, 4.0), 4),
                                 "none", 1.5),
     lambda: chain_state_space(4.0, 4.0, 4.0, 2.5),
+    lambda: ChainModel(coupling_from_gains(4.0, 4.0, 4.0), 4, "approx", iterations=0),
+    lambda: ChainModel(coupling_from_gains(4.0, 4.0, 4.0), 4, "approx", iterations=-3),
+    lambda: ChainModel(coupling_from_gains(4.0, 4.0, 4.0), 4, "approx", iterations=2.5),
 ], ids=[
     "nan-duration", "inf-duration", "nan-event-time", "nan-event-value",
     "nan-kp", "nan-ki", "nan-xi", "nan-d_ref0", "nan-dt",
     "fractional-out_every", "fractional-n_vehicles", "negative-seed",
     "fractional-seed", "fractional-chain-size", "fractional-chain-index",
-    "fractional-state-space-size",
+    "fractional-state-space-size", "zero-chain-depth", "negative-chain-depth",
+    "fractional-chain-depth",
 ])
 def test_bad_inputs_raise_invalid_config(make):
     # each was once accepted here and failed later with another error (a
@@ -387,15 +391,15 @@ def _per_tick_reference(config, spec, fir):
         while events and events[0].time <= t + 1e-12:
             refs.apply(events.pop(0), k)
         w = inject_noise(rng, spec.noise.variance, m - 1)
-        cmd = [x0[0] + refs.front_ramp(t), np.nan]
+        cmd = [x0[0] + refs.sent("front", k), np.nan]
         if front is not None:
-            cmd[0] = x0[0] + front.step(z[3] - x0[3], refs.front_ramp(t))
+            cmd[0] = x0[0] + front.step(z[3] - x0[3], refs.sent("front", k))
             z[dyn.front_fresh] = cmd[0]
         else:
-            z[dyn.ramp], z[dyn.ramp_slope] = cmd[0], refs.front_ramp.slope
+            z[dyn.ramp], z[dyn.ramp_slope] = cmd[0], refs.slope["front"]
         if rear is not None:
             measured = z[n - 6] - x0[n - 6] + w[m - 2]
-            cmd[1] = x0[n - 3] + rear.step(measured, refs.rear_ramp(t))
+            cmd[1] = x0[n - 3] + rear.step(measured, refs.sent("rear", k))
             z[dyn.rear_fresh] = cmd[1]
         else:
             z[dyn.spacing] = refs.d_target
@@ -762,9 +766,9 @@ def test_guard_bound_covers_every_tick(nominal_fir, variant, n, noisy, out_every
     cleared, ticks, maps = [], [0], set()
     chunk, step = sim._BlockMaps.chunk, sim._BlockMaps.step
 
-    def bounded(self, z, ref, x, hist):
+    def bounded(self, z, x, hist):
         maps.add(self)
-        out = chunk(self, z, ref, x, hist)
+        out = chunk(self, z, x, hist)
         bound = np.abs(x) @ self.peak.T
         starts = ticks[0] + self.stride * np.arange(len(x))
         if out[-1] == bound[:, self.c :].max():
@@ -772,9 +776,9 @@ def test_guard_bound_covers_every_tick(nominal_fir, variant, n, noisy, out_every
         ticks[0] += len(x) * self.stride
         return out
 
-    def counted(self, z, ref, x, hist):
+    def counted(self, z, x, hist):
         ticks[0] += hist.shape[1] - self.span
-        return step(self, z, ref, x, hist)
+        return step(self, z, x, hist)
 
     spec = lambda k: ScenarioSpec(
         duration=30.0, events=((0.5, "set_v_ref", 1.0),),
@@ -822,6 +826,52 @@ def test_runs_without_events_do_no_echo_work(monkeypatch, nominal_fir):
         )
         with pytest.raises(AssertionError, match="echo formed"):
             run_scenario(cfg, step, fir=nominal_fir)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    events=st.lists(
+        st.tuples(st.integers(0, 3000), st.sampled_from(sim.EVENT_KINDS),
+                  st.floats(-3.0, 3.0)),
+        max_size=6,
+    ),
+)
+# two events on one tick, and a bend on the last tick but one
+@example(variant="two_sided", events=[
+    (0, "set_v_ref", 1.0), (700, "set_d_ref", 2.0), (700, "set_v_ref", -0.5),
+    (2999, "set_d_ref", 1.0),
+])
+def test_tracker_ramp_is_the_sum_of_its_bends(variant, events):
+    # each end's ramp, formed from its bends alone, against the slopes the
+    # tracker held tick by tick: flat before the first bend, continuous at
+    # every bend, rising at the held slope between bends, and equal to the
+    # tick-by-tick sum of those slopes. Rounding is relative to the size of
+    # the hinges themselves, which cancel where opposite changes meet
+    config = PlatoonConfig(n_vehicles=4)
+    refs = sim._ReferenceTracker(config, variant)
+    dt = 1.0 / config.fs_ctrl
+    ticks = np.arange(3200)
+    held = {"front": np.zeros(len(ticks)), "rear": np.zeros(len(ticks))}
+    for tick, kind, value in sorted(events, key=lambda e: e[0]):
+        refs.apply(Event(tick * dt, kind, value), tick)
+        for end, slopes in held.items():
+            slopes[tick:] = refs.slope[end]
+    for end, slopes in held.items():
+        sent = refs.sent(end, ticks) + np.zeros(len(ticks))
+        summed = np.concatenate([[0.0], np.cumsum(dt * slopes[:-1])])
+        hinges = dt * len(ticks) * sum(abs(change) for _, change in refs.bends[end])
+        scale = max(hinges, 1e-300)
+        bends = sorted({tick for tick, _ in refs.bends[end]})
+        first = bends[0] if bends else len(ticks)
+        assert not sent[: first + 1].any()
+        for tick in bends:
+            left = refs.sent(end, tick - 1e-6)
+            right = refs.sent(end, tick + 1e-6)
+            assert abs(right - left) <= 2e-6 * dt * np.abs(slopes).max() + 1e-12 * scale
+        rise = np.diff(sent) / dt
+        assert np.abs(rise - slopes[:-1]).max() <= 1e-12 * scale / dt
+        assert np.abs(sent - summed).max() <= 1e-12 * scale
 
 
 def test_absorber_fir_rate_must_match_control_rate():

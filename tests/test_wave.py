@@ -16,9 +16,6 @@ from waveplatoon.wave import (
     WaveApprox,
     WaveFIR,
     coupling_from_gains,
-    friction_plant,
-    make_coupling,
-    pi_controller,
     wave_fir,
     wave_tf_approx,
     wave_tf_exact,
@@ -42,18 +39,6 @@ def scalar_recursion(alpha, iterations):
     return g
 
 
-def test_friction_plant():
-    p = friction_plant(4.0)
-    assert eval_at(p, 1.0) == pytest.approx(1.0 / 5.0)
-    assert p.den.degree == 2
-    assert p.den.coeffs[0] == 0.0
-
-
-def test_pi_controller():
-    c = pi_controller(4.0, 4.0)
-    assert eval_at(c, 2.0) == pytest.approx((4.0 * 2.0 + 4.0) / 2.0)
-
-
 def test_coupling_nominal_value():
     c = nominal()
     assert isinstance(c, CouplingRatio)
@@ -63,17 +48,20 @@ def test_coupling_nominal_value():
 
 
 def test_coupling_equals_inverse_loop_plus_two():
-    c = nominal()
+    # the friction plant 1/(s^2 + xi s) under PI control (kp s + ki)/s, at
+    # gains that tell kp, ki and xi apart
+    kp, ki, xi = 3.0, 2.0, 5.0
     s = 0.4 + 0.9j
-    loop = eval_at(friction_plant(4.0), s) * eval_at(pi_controller(4.0, 4.0), s)
-    assert c(s) == pytest.approx(1.0 / loop + 2.0)
+    plant = 1.0 / (s * s + xi * s)
+    controller = (kp * s + ki) / s
+    assert coupling_from_gains(kp, ki, xi)(s) == pytest.approx(
+        1.0 / (plant * controller) + 2.0)
 
 
 def test_make_coupling_rejects_zero_plant():
-    from waveplatoon.lti import RationalTF
-
+    # kp = ki = 0 leaves no loop to invert
     with pytest.raises(ZeroNumerator):
-        make_coupling(RationalTF([0.0], [1.0, 1.0]), pi_controller(1.0, 1.0))
+        coupling_from_gains(0.0, 0.0, 4.0)
 
 
 def test_exact_wave_tf_nominal_point():
