@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidConfig
 from .lti import FrequencyResponse, check_grid, eval_at, tf_add
-from .wave import DEFAULT_ITERATIONS, WaveFIR, wave_tf_exact
+from .wave import DEFAULT_ITERATIONS, WaveFIR, check_depth, wave_tf_exact
 
 SQUARED_FIR_TAIL_LIMIT = 0.01
 
@@ -235,8 +235,7 @@ class ChainModel:
             raise InvalidConfig("chain needs a whole number, >= 2, of vehicles")
         if self.mode not in ("exact", "approx"):
             raise InvalidConfig(f"unknown evaluation mode {self.mode!r}")
-        if not isinstance(self.iterations, Integral) or self.iterations < 1:
-            raise InvalidConfig("approximant depth must be a whole number >= 1")
+        check_depth(self.iterations)
 
 
 class WaveTransferEvaluator:
@@ -275,14 +274,13 @@ class ChainPrediction:
     from_rear: object = None
 
 
-def chain_tf_prediction(config, variant, n):
+def chain_tf_prediction(model, variant, n):
     """Wave-model transfer function(s) from end inputs to vehicle ``n``.
 
     Variants: "none" (commanded head, spacing-regulated tail), "front"
     (absorbing head, free tail), "rear" (commanded head, absorbing tail),
     "two_sided" (both ends absorbing).
     """
-    model = config
     last = model.n_vehicles - 1
     if not isinstance(n, Integral):
         raise InvalidConfig(f"vehicle index {n} is not a whole number")

@@ -5,27 +5,29 @@ A run advances the plant's control ticks (``plant.PlatoonDynamics``) in
 blocks. A full block starts on an output sample and spans a whole number
 of output intervals, or a whole fraction of one when an interval's maps
 would be too large: its length, the run's stride, is the one with the
-least estimated cost per tick (``_block_stride``). Blocks also end at
-reference events and the end of the run, and a block that starts off the
-output grid ends at the next output sample. The absorbers are linear in
-the samples they measure, so the FIR feedback within a block is a unit
-lower-triangular linear system, solved once per run into precomputed maps.
-A block is time-invariant, so the solve runs over the block's start state
-and its first tick's inputs alone, and each later tick's inputs take that
-response shifted. The maps give the commands, velocities and positions the
-trace reads, the block's samples and the state at its end, and every
-tick's commands and velocities on demand; the FIR over the samples before
-a block enters as a known term. The simulator owns the ramps, the tick
-clock and each absorber's samples, in a rolling array that ``boundary``'s
-stateless equations read. Each end's ramp is held only as its slope
-changes, a sum of hinges, so its echo has a closed form in them
+least estimated cost per tick (``_block_stride``). Full blocks stop short
+of reference events and the end of the run, and an event off the output
+grid moves them to the next output sample; the ticks between run as
+one-tick blocks. The absorbers are linear in the samples they measure, so
+the FIR feedback within a block is a unit lower-triangular linear system,
+solved once per run into precomputed maps. A block is time-invariant, so
+the solve runs over the block's start state and its first tick's inputs
+alone, and each later tick's inputs take that response shifted. The maps
+give the commands, velocities and positions the trace reads, the block's
+samples and the state at its end, and every tick's commands and
+velocities on demand; the FIR over the samples before a block enters as a
+known term. The simulator owns the ramps, the tick clock and each
+absorber's samples, in a rolling array that ``boundary``'s stateless
+equations read. Each end's ramp is held only as its slope changes, a sum
+of hinges, so its echo has a closed form in them
 (``boundary.ramp_echo``); a run without events forms none. The reference
 slots of the augmented state are set at the start of a run and at each
 event, and the tick map carries them between events. Every run advances
-its consecutive full blocks a chunk at a time. What the state does not
-touch is worked out once per chunk: the noise, and each absorber's ramp
-and the echo of it. Only the end-state recursion and, with absorbers,
-each block's samples and the FIR over the samples before it run block by
+its consecutive blocks a chunk at a time, full blocks and one-tick blocks
+alike, on the maps of their stride. What the state does not touch is
+worked out once per chunk: the noise, and each absorber's ramp and the
+echo of it. Only the end-state recursion and, with absorbers, each
+block's samples and the FIR over the samples before it run block by
 block, written in place into the chunk's arrays. One product over the
 chunk then gives the rows the trace reads.
 Velocities are one linear readout of the augmented state, shared by the
@@ -271,8 +273,8 @@ class _Channel(NamedTuple):
 
 
 class _BlockMaps:
-    """Advance the augmented state ``z`` by 1..``stride`` control ticks at
-    once, solving the absorbers' FIR feedback inside the block.
+    """Advance the augmented state ``z`` by blocks of ``stride`` control
+    ticks, solving the absorbers' FIR feedback inside each block.
 
     With ``A`` the tick map with the fresh command columns zeroed and ``G``
     those columns, one tick is ``z' = A z + G u + N w``. Each channel's
@@ -291,14 +293,13 @@ class _BlockMaps:
 
     The build takes no Python step per tick beyond one small product: the
     open loop's Markov rows ``obs A^t`` (each channel's sample, each
-    vehicle's velocity) and columns ``A^t [N, G]`` (``impulse``) come by
-    recursion, the positions at the interior samples hop ``A^every`` at a
-    time, and ``A``'s powers of two (``powers``) give ``A^stride``. The
+    vehicle's velocity) and columns ``A^t [N, G]`` come by recursion, and
+    the positions at the interior samples hop ``A^every`` at a time. The
     feedback is block lower-triangular Toeplitz over the ticks, so its
     inverse is too: its first block column doubles in a few products, and
     one batched product applies it. The commands' share of every row then
     comes from the Markov parameters in one more, and index arithmetic
-    lays the rows out over ``x``.
+    lays the rows out over ``x``. Only the maps below outlive the build.
 
     ``full`` holds the maps a chunk multiplies, rows over ``x``: first
     the rows the trace reads (the commands at the output samples, every
@@ -309,16 +310,15 @@ class _BlockMaps:
     ``response``, from which ``_every_tick`` forms them when the guard
     needs them exactly. ``peak`` holds, entry by entry, the largest
     magnitude a command or velocity row reaches over the block's ticks.
-    The maps are causal, so a shorter ``j``-tick block takes the leading
-    columns of the same maps, the positions at its own interior samples
-    and its first ``j`` ticks' rows, and its end state comes from
-    ``A^j`` and the first ``j`` of ``impulse``.
 
-    ``chunk`` advances many full blocks with the same maps. The inputs
-    known before the chunk enter through one product; the reference slots
-    ride in ``z``, and the maps carry them like any other state. Only the
-    recursion through ``carry``, the map of ``[z, lookback]`` to ``[end
-    state, samples]``, and the lookback of each block run block by block.
+    ``chunk`` is the only way blocks advance: many of them at once, with
+    the same maps. A run's full blocks take the maps of its stride, and
+    the ticks a block cut short leaves take one-tick maps (stride 1). The
+    inputs known before the chunk enter through one product; the
+    reference slots ride in ``z``, and the maps carry them like any other
+    state. Only the recursion through ``carry``, the map of ``[z,
+    lookback]`` to ``[end state, samples]``, and the lookback of each
+    block run block by block.
     """
 
     def __init__(self, dyn, stride, every, channels, noisy, taps):
@@ -329,16 +329,11 @@ class _BlockMaps:
         self.q = q = k + 2 * c
         self.r = r = c + m
         self.stride = s = stride
-        self.every = every
         d = dim + q
         picks = (np.arange(0, s, every), np.arange(every - 1, s - 1, every))
         fresh = [ch.fresh for ch in channels]
         a = dyn.tick_map.copy()
         a[:, fresh] = 0.0
-        powers = [a]
-        while 2 ** len(powers) <= s:
-            powers.append(powers[-1] @ powers[-1])
-        self.powers = np.array(powers)
 
         # the open loop, one small product a tick: the Markov rows after
         # each tick, in the response's slots over z0, and the columns
@@ -349,17 +344,17 @@ class _BlockMaps:
         np.matmul(obs, a, out=grid[0])
         for t in range(1, s):
             np.matmul(grid[t - 1], a, out=grid[t])
-        self.impulse = impulse = np.empty((s, dim, k + c))
+        impulse = np.empty((s, dim, k + c))
         impulse[0] = np.hstack([dyn.tick_noise[:, :k], dyn.tick_map[:, fresh]])
         for t in range(1, s if k + c else 0):
             np.matmul(a, impulse[t - 1], out=impulse[t])
         positions = np.empty((len(picks[1]), m, dim))
         position = eye[0 : dyn.n_states : 3]
         # ``A^every`` (interior samples exist only when every < s)
-        hop = self._advance(eye, min(every, s))
+        hop = np.linalg.matrix_power(a, min(every, s))
         for i in range(len(positions)):
             position = positions[i] = position @ hop
-        end = self._advance(eye, s)
+        end = np.linalg.matrix_power(a, s)
         # the state after each tick over tick 0's inputs
         moved = np.zeros((s, dim, q))
         moved[:, :, :k] = impulse[:, :, :k]
@@ -463,14 +458,6 @@ class _BlockMaps:
         # the rounding of a product over ``width`` terms, and of its bound
         self.slack = 2.0 * width * np.finfo(float).eps
 
-    def _advance(self, z, ticks):
-        """``A^ticks z``, for up to the stride's ticks: ``A`` alone, with
-        no inputs."""
-        for bit, power in enumerate(self.powers):
-            if ticks >> bit & 1:
-                z = power @ z
-        return z
-
     def _split(self, out):
         # the traced rows of each block: commands, velocities, positions
         g, v = self.outputs
@@ -479,27 +466,25 @@ class _BlockMaps:
                 out[:, g * c : g * c + v * m].reshape(nb, v, m),
                 out[:, g * c + v * m : self.traced].reshape(nb, v, m))
 
-    def _every_tick(self, x, j):
-        """Every tick's ``[commands, velocities]`` over the first ``j``
-        ticks of each block in ``x``, from the tick-0 ``response``: tick
-        ``i`` takes ``response[i]`` of z0 and ``response[i - w]`` of tick
-        ``w``'s inputs, each channel's lookback entering as its known part.
+    def _every_tick(self, x):
+        """Every tick's ``[commands, velocities]`` in each block of ``x``,
+        from the tick-0 ``response``: tick ``i`` takes ``response[i]`` of
+        z0 and ``response[i - w]`` of tick ``w``'s inputs, each channel's
+        lookback entering as its known part.
         """
-        dim, head, c, k, q = self.dim, self.head, self.c, self.k, self.q
+        dim, head, c, k, q, s = self.dim, self.head, self.c, self.k, self.q, self.stride
         nb = len(x)
-        drive = x[:, head : head + j * q].reshape(nb, j, q).copy()
-        drive[:, :, k : k + c] += (
-            x[:, dim:head].reshape(nb, c, self.stride)[:, :, :j].transpose(0, 2, 1)
-        )
-        out = (self.response[:j, :, :dim].reshape(j * self.r, dim) @ x[:, :dim].T
-               ).reshape(j, self.r, nb).transpose(2, 0, 1)
+        drive = x[:, head:].reshape(nb, s, q).copy()
+        drive[:, :, k : k + c] += x[:, dim:head].reshape(nb, c, s).transpose(0, 2, 1)
+        out = (self.response[:, :, :dim].reshape(s * self.r, dim) @ x[:, :dim].T
+               ).reshape(s, self.r, nb).transpose(2, 0, 1)
         # a run with neither noise nor absorbers has no inputs to lag
-        for lag in range(j if q else 0):
-            out[:, lag:] += drive[:, : j - lag] @ self.response[lag, :, dim:].T
+        for lag in range(s if q else 0):
+            out[:, lag:] += drive[:, : s - lag] @ self.response[lag, :, dim:].T
         return out
 
     def chunk(self, z, x, hist):
-        """Consecutive full blocks from ``z``, one row of ``x`` each.
+        """Consecutive blocks from ``z``, one row of ``x`` each.
 
         Row ``b`` of ``x`` holds block ``b``'s known inputs after the
         lookback columns. Each channel's row of ``hist`` starts with the
@@ -515,7 +500,7 @@ class _BlockMaps:
         readout multiplies only the traced rows. ``|x| @ peak.T`` bounds
         every tick's commands and velocities; when it does not prove them
         finite and within ``VELOCITY_LIMIT``, every tick's rows are formed
-        and their exact peak returned, as ``step`` does.
+        and their exact peak returned.
         """
         dim, head, c, s, span = self.dim, self.head, self.c, self.stride, self.span
         u = x[:, head:] @ self.next[:, head:].T
@@ -534,33 +519,8 @@ class _BlockMaps:
         speed = bound[:, c:].max()
         if not (np.isfinite(bound).all()
                 and speed * (1.0 + self.slack) <= VELOCITY_LIMIT):
-            speed = _peak(self._every_tick(x, s), c)
+            speed = _peak(self._every_tick(x), c)
         return (*traced, z, speed)
-
-    def step(self, z, x, hist):
-        """One block of ``j`` ticks, fewer than a stride or the run's last
-        tick, with ``x`` and ``hist`` laid out as for ``chunk``
-        (one row of ``x``, ``j`` samples after the ``span`` in ``hist``).
-        Returns what ``chunk`` does for the block, with the exact peak of
-        every tick's |velocity|."""
-        dim, head, c, k, q, s = self.dim, self.head, self.c, self.k, self.q, self.stride
-        span, every, m = self.span, self.every, self.m
-        j = hist.shape[1] - span
-        xb = x[0]
-        xb[:dim] = z
-        xb[dim:head].reshape(c, s)[:, :j] = hist[:, :span] @ self.past[:, :j]
-        cols = head + j * q
-        rows = self._every_tick(x, j)
-        first = self.traced - self.outputs[1] * m
-        inner = self.full[first : first + (j - 1) // every * m, :cols] @ xb[:cols]
-        if c:
-            samples = self.next[dim:, :cols] @ xb[:cols]
-            hist[:, span:] = samples.reshape(c, s)[:, :j]
-        drive = np.concatenate([xb[head:cols].reshape(j, q)[:, :k], rows[0, :, :c]], axis=1)
-        z = self._advance(xb[:dim], j) + np.tensordot(
-            self.impulse[j - 1 :: -1], drive, axes=([0, 2], [0, 1]))
-        return (rows[:, ::every, :c], rows[:, every - 1 : j - 1 : every, c:],
-                inner.reshape(1, -1, m), z, _peak(rows, c))
 
 
 def _lagged(blocks, n):
@@ -587,8 +547,9 @@ def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
     block's maps are ``rows`` (the rows the trace reads, then the end state
     and each tick's samples) by ``cols`` (the state, then per tick each
     channel's lookback and ``q = k + 2c`` inputs); beside them the run
-    keeps each tick's response to tick 0, the guard's weights, ``A``'s
-    powers of two and the input columns ``A^t [N, G]``. A tick pays its
+    keeps each tick's response to tick 0 and the guard's weights, and the
+    budget also counts ``A``'s powers of two and the input columns ``A^t
+    [N, G]``, which only the build holds. A tick pays its
     share of a block step: a fixed ``step`` of Python (with absorbers,
     ``7 us`` more to form the lookback and keep the samples), the carry
     product, the lookback over ``span`` samples per channel and the
@@ -601,8 +562,8 @@ def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
     default threads: ``step`` 4 us, the carry 290 ps an entry, the
     lookback 100 ps and the readout 40 ps a multiply-add, and in the build
     3 ns a float written and 50 ps a multiply-add. The cost is convex in
-    the stride but for the small step ``powers`` takes at each power of
-    two. The candidates tile the output grid: multiples of
+    the stride but for the small step ``A``'s powers of two take at each
+    power of two. The candidates tile the output grid: multiples of
     ``out_every`` whose maps hold at most JUMP_MAP_FLOATS floats or, when
     ``out_every`` alone overflows them, its divisors that fit (else one
     tick).
@@ -619,8 +580,8 @@ def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
                 + 2 * len(range(out_every, s, out_every)) * m + dim + c * s)
 
     def held(s):
-        # ``full`` and ``peak``, ``carry``, ``past``, ``response``,
-        # ``powers`` and ``impulse``
+        # ``full`` and ``peak``, ``carry``, ``past``, ``response``, and
+        # the build's powers of ``A`` and input columns
         return ((rows(s) + c + m) * cols(s) + (dim + c * s) ** 2 + span * s
                 + s * (c + m) * (dim + q) + int(s).bit_length() * dim * dim
                 + s * dim * (k + c))
@@ -679,17 +640,18 @@ def run_scenario(config, scenario, fir=None):
     absorbers' commands are linear in the samples they measure, so
     precomputed maps give the commands, velocities and positions the trace
     reads and the state at the block's end. Consecutive full blocks go
-    through those maps in chunks of up to ``CHUNK_BLOCKS``; a block cut
-    short by an event or the run's end takes the leading part of the same
-    maps, and after an event off the output grid a short block runs to
-    the next output sample. The state's reference slots are set at the
-    start and at each event, and the maps carry them in between. Each
-    chunk or short block draws its noise, samples the absorbers' ramps
-    and forms their echo in one call, and is checked
-    whole before its samples join the absorber histories: the divergence
-    guard sees every vehicle's velocity at every tick, through a bound
-    over the chunk's ticks or, when that does not clear it, each tick's
-    exact value.
+    through those maps in chunks of up to ``CHUNK_BLOCKS``. A block cut
+    short by an event or the run's end, and after an event off the output
+    grid the block up to the next output sample, runs as one chunk of
+    one-tick blocks, on maps of stride 1 built when the first such block
+    occurs; so does the run's last tick, which gives its commands only.
+    The state's reference slots are set at the start and at each event,
+    and the maps carry them in between. Each chunk draws its noise,
+    samples the absorbers' ramps and forms their echo in one call, and is
+    checked whole before its samples join the absorber histories: the
+    divergence guard sees every vehicle's velocity at every tick, through
+    a bound over the chunk's ticks or, when that does not clear it, each
+    tick's exact value.
     """
     m = config.n_vehicles
     variant = scenario.variant
@@ -737,12 +699,15 @@ def run_scenario(config, scenario, fir=None):
     n_ctrl = _event_tick(scenario.duration, config.fs_ctrl)
     out_every = scenario.out_every
     c = len(channels)
-    noise_cols = m - 1 if rng is not None else 0
+    noisy = rng is not None
+    noise_cols = m - 1 if noisy else 0
     taps = fir.taps if channels else np.zeros(1)
     stride = _block_stride(
         out_every, n_ctrl, dyn.dim, m, c, noise_cols, len(taps) - 1
     )
-    blocks = _BlockMaps(dyn, stride, out_every, channels, rng is not None, taps)
+    blocks = _BlockMaps(dyn, stride, out_every, channels, noisy, taps)
+    # the maps of the blocks cut short, built when the first one occurs
+    one_tick = blocks if stride == 1 else None
     command0 = np.array([ch.command0 for ch in channels])
     sample0 = np.array([ch.sample0 for ch in channels])
     # each channel's samples: the ``span`` before a chunk, then the
@@ -783,24 +748,28 @@ def run_scenario(config, scenario, fir=None):
         # output grid up to the next sample
         gap = -k % out_every
         j = min(limit - k, stride, gap or stride)
-        nb = 1
         if j == stride:
             # full blocks follow one another up to the limit while they
             # keep to the output grid, else up to the next output sample
             tiled = (stride % out_every == 0
                      or out_every % stride == gap % stride == 0)
             last = limit if tiled else min(limit, k + (gap or out_every))
-            nb = min((last - k) // stride, CHUNK_BLOCKS)
-        # the last tick is a one-tick block that gives its commands only
-        j = max(j, 1)
-        starts = k + stride * np.arange(nb)
-        x = np.zeros((nb, blocks.head + stride * blocks.q))
-        feed = x[:, blocks.head : blocks.head + j * blocks.q].reshape(nb, j, -1)
-        if rng is not None:
-            feed[:, :, :noise_cols] = inject_noise(rng, sigma2, (nb, j, noise_cols))
-        size = span + nb * j
+            maps, nb = blocks, min((last - k) // stride, CHUNK_BLOCKS)
+        else:
+            # a block cut short runs as one-tick blocks; the last tick is
+            # one that gives its commands only
+            if one_tick is None:
+                one_tick = _BlockMaps(dyn, 1, out_every, channels, noisy, taps)
+            maps, nb = one_tick, max(j, 1)
+        s = maps.stride
+        starts = k + s * np.arange(nb)
+        x = np.zeros((nb, maps.head + s * maps.q))
+        feed = x[:, maps.head :].reshape(nb, s, -1)
+        if noisy:
+            feed[:, :, :noise_cols] = inject_noise(rng, sigma2, (nb, s, noise_cols))
+        size = span + nb * s
         if channels:
-            block_ticks = starts[:, None] + np.arange(j)
+            block_ticks = starts[:, None] + np.arange(s)
             for i, ch in enumerate(channels):
                 known = refs.sent(ch.end, block_ticks)
                 offset = 0.0
@@ -814,8 +783,7 @@ def run_scenario(config, scenario, fir=None):
                 feed[:, :, noise_cols + c + i] = offset - sample0[i]
         # a diverging chunk may overflow; the guard reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            advance = blocks.chunk if j == stride else blocks.step
-            cmds, vels, inner, end, peak = advance(z, x, samples[:, :size])
+            cmds, vels, inner, end, peak = maps.chunk(z, x, samples[:, :size])
         if k < n_ctrl:
             _guard(peak, x, samples[:, span:size], end)
 
@@ -825,7 +793,7 @@ def run_scenario(config, scenario, fir=None):
         # commands; a ramp-commanded head reads its ramp
         sampled = starts % out_every == 0
         states = x[sampled, : dyn.dim]
-        ticks = starts[sampled, None] + np.arange(0, j, out_every)
+        ticks = starts[sampled, None] + np.arange(0, s, out_every)
         out = slice(row, row + ticks.size)
         t_out[out] = (ticks * ctrl_dt).ravel()
         pos = x_out[out].reshape(*ticks.shape, m)
@@ -846,7 +814,7 @@ def run_scenario(config, scenario, fir=None):
             break
         samples[:, :span] = samples[:, size - span : size]
         z = end
-        k += nb * j
+        k += nb * s
 
     return SimulationTrace(
         t=t_out[:row],

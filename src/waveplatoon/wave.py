@@ -11,10 +11,11 @@ FIR filter usable online.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DegreeOverflow, DegenerateDenominator
+from .errors import DegreeOverflow, DegenerateDenominator, InvalidConfig
 from .lti import RationalTF, impulse_response, sample_count, tf_add, tf_inv, trim
 
 # Denominator-degree cap for the continued-fraction recursion. At depth L
@@ -81,6 +82,13 @@ class WaveApprox:
         return self.approx(s)
 
 
+def check_depth(iterations):
+    """Raise ``InvalidConfig`` unless an approximant depth is a whole
+    number >= 1."""
+    if not isinstance(iterations, Integral) or iterations < 1:
+        raise InvalidConfig("approximant depth must be a whole number >= 1")
+
+
 def wave_tf_approx(coupling, iterations=DEFAULT_ITERATIONS):
     """Continued-fraction rational approximation of the wave transfer function.
 
@@ -97,8 +105,7 @@ def wave_tf_approx(coupling, iterations=DEFAULT_ITERATIONS):
     ``pi / ((2L+1) * sqrt(xi/ki))`` rad/s for the friction plant with PI
     control.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check_depth(iterations)
     degree = iterations * coupling.tf.num.degree
     if degree > MAX_APPROX_DEGREE:
         raise DegreeOverflow(

@@ -318,6 +318,16 @@ def test_verify_flags_short_approximant():
     assert all(not c.passed for c in report.checks)
 
 
+def test_verify_names_a_fractional_depth_in_every_approximant_suite():
+    # the approximant and the chain model check a depth the same way, so
+    # each suite that builds either fails on ``InvalidConfig`` alone
+    builders = {"stability", "approximation", "chain_oracle", "absorption", "fir"}
+    failed = [c for c in verify(iterations=2.5).checks if not c.passed]
+    assert {c.suite for c in failed} == builders
+    assert all(c.name == "suite execution" and c.detail.startswith("InvalidConfig: ")
+               for c in failed)
+
+
 @pytest.mark.parametrize("span", (15.007, 12.506))
 def test_verify_fir_tap_count_follows_the_fir(span):
     # spans a fraction of a sample past a whole count keep that count

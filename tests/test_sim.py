@@ -452,6 +452,27 @@ def test_block_stepper_matches_per_tick_reference(
     _assert_matches_reference(cfg, spec, nominal_fir)
 
 
+class _Built(Exception):
+    pass
+
+
+def _record_maps(mp, stop=False):
+    """Patch ``_BlockMaps.__init__`` through ``mp`` so that the returned
+    list gets every block maps object a run builds, in order; with
+    ``stop``, the first build raises ``_Built``."""
+    built = []
+    init = sim._BlockMaps.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+        if stop:
+            raise _Built
+
+    mp.setattr(sim._BlockMaps, "__init__", recorded)
+    return built
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_block_stepper_matches_reference_over_long_run(
     monkeypatch, nominal_fir, variant
@@ -462,14 +483,7 @@ def test_block_stepper_matches_reference_over_long_run(
     # front after every chunk; over the run they wrap about 12 times past
     # the 1501-tap span. The run crosses several chunks of full blocks,
     # with partial blocks at both events and at the end.
-    strides = []
-    init = sim._BlockMaps.__init__
-
-    def recorded(self, dyn, stride, *args):
-        strides.append(stride)
-        init(self, dyn, stride, *args)
-
-    monkeypatch.setattr(sim._BlockMaps, "__init__", recorded)
+    built = _record_maps(monkeypatch)
     cfg = PlatoonConfig(n_vehicles=6, dt=0.005)
     spec = ScenarioSpec(
         duration=180.0,
@@ -480,7 +494,8 @@ def test_block_stepper_matches_reference_over_long_run(
     )
     assert 180.0 * cfg.fs_ctrl > 2 * (3 * len(nominal_fir.taps) + 1)
     _assert_matches_reference(cfg, spec, nominal_fir)
-    (stride,) = strides
+    stride = built[0].stride
+    assert [maps.stride for maps in built[1:]] == [1]
     assert 180.0 * cfg.fs_ctrl > 2 * sim.CHUNK_BLOCKS * stride
 
 
@@ -536,14 +551,7 @@ def test_default_stride_matches_reference_on_noisy_platoon(
     # a noisy 20-vehicle run at the stride the rule picks for it, with an
     # event off the block tiling and the output grid at tick 337; the full
     # blocks from tick 340 to 3000 fill more than one chunk
-    strides = []
-    init = sim._BlockMaps.__init__
-
-    def recorded(self, dyn, stride, *args):
-        strides.append(stride)
-        init(self, dyn, stride, *args)
-
-    monkeypatch.setattr(sim._BlockMaps, "__init__", recorded)
+    built = _record_maps(monkeypatch)
     spec = ScenarioSpec(
         duration=30.0,
         events=((3.37, "set_v_ref", 1.0),),
@@ -552,85 +560,101 @@ def test_default_stride_matches_reference_on_noisy_platoon(
         out_every=10,
     )
     _assert_matches_reference(PlatoonConfig(n_vehicles=20), spec, nominal_fir)
-    (stride,) = strides
+    stride = built[0].stride
+    assert [maps.stride for maps in built[1:]] == [1]
     assert stride % 10 == 0 and 337 % stride
     assert (3000 - 340) // stride > sim.CHUNK_BLOCKS
 
 
+def _assert_events_match_reference(fir, variant, noisy, out_every, stride, events):
+    """A 4 s run of 5 vehicles at ``stride`` ticks a block, with ``events``
+    as ``(tick, kind, value)``, held to the per-tick reference. Returns the
+    stride of the maps each chunk ran on, in order."""
+    n_ctrl = 400
+    calls = []
+    chunk = sim._BlockMaps.chunk
+
+    def counted(self, z, x, hist):
+        calls.append((self.stride, len(x)))
+        return chunk(self, z, x, hist)
+
+    spec = ScenarioSpec(
+        duration=n_ctrl / 100.0,
+        events=tuple((tick / 100.0, kind, value) for tick, kind, value in events),
+        noise=NoiseSpec(variance=0.05 if noisy else 0.0, seed=5),
+        variant=variant,
+        out_every=out_every,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_block_stride", lambda *args: stride)
+        mp.setattr(sim._BlockMaps, "chunk", counted)
+        _assert_matches_reference(PlatoonConfig(n_vehicles=5), spec, fir)
+    # the chunks cover the run's ticks and its last one; a one-tick run
+    # holds fewer ticks than a stride
+    assert sum(s * nb for s, nb in calls) == n_ctrl + 1
+    assert {s for s, _ in calls} <= {stride, 1}
+    assert stride == 1 or all(nb < stride for s, nb in calls if s == 1)
+    return [s for s, _ in calls]
+
+
+_PLACES = ("grid", "tiling", "anywhere")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    noisy=st.booleans(),
+    out_every=st.integers(1, 12),
+    factor=st.integers(1, 5),
+    below=st.booleans(),
+    start=st.tuples(st.sampled_from(_PLACES), st.integers(0, 200)),
+    events=st.lists(
+        st.tuples(st.sampled_from(_PLACES), st.integers(0, 400),
+                  st.sampled_from(sim.EVENT_KINDS), st.floats(-2.0, 2.0)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_events_anywhere_match_per_tick_reference(
+    nominal_fir, variant, noisy, out_every, factor, below, start, events
+):
+    # 2 to 5 events on the output grid, on the tiling of full blocks from
+    # tick 0, or anywhere, at a forced stride above out_every (a multiple)
+    # or below it (a divisor): each event off the tiling cuts a block
+    # short, and the run goes on tick by tick up to the event or the next
+    # output sample. The first is a velocity step in the run's first half,
+    # so the platoon moves and the reference's 1e-9 scale is its motion
+    divisors = [d for d in range(1, out_every + 1) if out_every % d == 0]
+    stride = divisors[factor % len(divisors)] if below else factor * out_every
+    step = {"grid": out_every, "tiling": stride, "anywhere": 1}
+    events = sorted(
+        (tick // step[place] * step[place], kind, value)
+        for place, tick, kind, value in [(*start, "set_v_ref", 1.0), *events]
+    )
+    _assert_events_match_reference(nominal_fir, variant, noisy, out_every, stride, events)
+
+
+def test_one_run_switches_between_chunks_and_one_tick_runs(nominal_fir):
+    # five events off the output grid and the block tiling: each cuts the
+    # full blocks before it short and starts one-tick blocks up to the next
+    # output sample, so the run leaves the chunks and comes back to them at
+    # every event
+    events = [(37, "set_v_ref", 1.0), (104, "set_d_ref", 1.4), (191, "set_v_ref", 0.3),
+              (263, "set_d_ref", 0.8), (352, "set_v_ref", -0.5)]
+    maps = _assert_events_match_reference(nominal_fir, "two_sided", True, 5, 20, events)
+    switches = sum(a != b for a, b in zip(maps, maps[1:]))
+    assert switches >= 2 * len(events)
+
+
 def _maps_built(config, spec, fir, **patched):
-    """The block maps ``run_scenario`` builds for ``spec``, with the
-    ``sim`` attributes in ``patched`` set meanwhile."""
-
-    class Built(Exception):
-        pass
-
-    init = sim._BlockMaps.__init__
-
-    def built(self, *args):
-        init(self, *args)
-        raise Built(self)
-
+    """The block maps ``run_scenario`` builds first for ``spec``, with the
+    ``sim`` attributes in ``patched`` set meanwhile; the run stops there."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in patched.items():
             mp.setattr(sim, name, value)
-        mp.setattr(sim._BlockMaps, "__init__", built)
-        with pytest.raises(Built) as caught:
+        built = _record_maps(mp, stop=True)
+        with pytest.raises(_Built):
             run_scenario(config, spec, fir=fir)
-    return caught.value.args[0]
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(2, 8),
-    variant=st.sampled_from(VARIANTS),
-    noisy=st.booleans(),
-    stride=st.integers(1, 250),
-    every=st.integers(5, 30),
-    data=st.data(),
-)
-def test_block_maps_are_causal(nominal_fir, n, variant, noisy, stride, every, data):
-    # a short block of j ticks runs on the stride's maps (``step``): its
-    # first j ticks' responses, the positions at its interior samples, its
-    # samples, its lookback weights and the end state's input columns and
-    # powers, over z0, its lookback and its ticks' inputs. They must be
-    # the maps built for a j-tick stride
-    j = data.draw(st.integers(1, stride), label="j")
-    spec = ScenarioSpec(
-        duration=1.0, noise=NoiseSpec(variance=0.1, seed=1) if noisy else None,
-        variant=variant, out_every=every,
-    )
-    cfg = PlatoonConfig(n_vehicles=n)
-    long, short = (
-        _maps_built(cfg, spec, nominal_fir, _block_stride=lambda *args, s=s: s)
-        for s in (stride, j)
-    )
-    dim, c, q, m = long.dim, long.c, long.q, long.m
-
-    def leading(maps):
-        # the columns a j-tick block reads, in the maps' layout
-        lookback = dim + np.arange(c)[:, None] * maps.stride + np.arange(j)
-        return np.concatenate([np.arange(dim), lookback.ravel(),
-                               maps.head + np.arange(j * q)])
-
-    def samples(maps):
-        rows = maps.traced + dim + np.arange(c)[:, None] * maps.stride + np.arange(j)
-        return maps.full[rows.ravel()][:, leading(maps)]
-
-    def positions(maps):
-        first = maps.traced - maps.outputs[1] * m
-        return maps.full[first : first + (j - 1) // every * m][:, leading(maps)]
-
-    pairs = [
-        (long.response[:j], short.response),
-        (positions(long), positions(short)),
-        (samples(long), samples(short)),
-        (long.past[:, :j], short.past),
-        (long.impulse[:j], short.impulse),
-        (long.powers[: len(short.powers)], short.powers),
-    ]
-    for got, want in pairs:
-        assert got.shape == want.shape
-        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+    return built[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -761,24 +785,22 @@ def test_guard_sees_commanded_ends(monkeypatch, nominal_fir):
 @example(variant="two_sided", n=20, noisy=True, out_every=10)
 def test_guard_bound_covers_every_tick(nominal_fir, variant, n, noisy, out_every):
     # on every chunk that the bound clears, each vehicle's speed at every
-    # tick of each block, read tick by tick from the run at out_every=1,
-    # is at most that vehicle's bound |x| @ peak.T for the block
-    cleared, ticks, maps = [], [0], set()
-    chunk, step = sim._BlockMaps.chunk, sim._BlockMaps.step
+    # tick of each block is at most that vehicle's bound |x| @ peak.T for
+    # the block. A full block's speeds are read tick by tick from the run
+    # at out_every=1. A one-tick block's are the rows of that tick: at
+    # rest its bound on an absorbing end is exactly 0 (the FIR's first tap
+    # is 0), where the run at out_every=1, through other blocks, reads the
+    # roundoff of its own products
+    cleared, ticks = [], [0]
+    chunk = sim._BlockMaps.chunk
 
     def bounded(self, z, x, hist):
-        maps.add(self)
         out = chunk(self, z, x, hist)
         bound = np.abs(x) @ self.peak.T
-        starts = ticks[0] + self.stride * np.arange(len(x))
         if out[-1] == bound[:, self.c :].max():
-            cleared.append((starts, self.stride, bound[:, self.c :]))
+            cleared.append((ticks[0], self, x.copy(), bound[:, self.c :]))
         ticks[0] += len(x) * self.stride
         return out
-
-    def counted(self, z, x, hist):
-        ticks[0] += hist.shape[1] - self.span
-        return step(self, z, x, hist)
 
     spec = lambda k: ScenarioSpec(
         duration=30.0, events=((0.5, "set_v_ref", 1.0),),
@@ -788,22 +810,28 @@ def test_guard_bound_covers_every_tick(nominal_fir, variant, n, noisy, out_every
     cfg = PlatoonConfig(n_vehicles=n)
     every_tick = run_scenario(cfg, spec(1), fir=nominal_fir).velocities
     with pytest.MonkeyPatch.context() as mp:
+        built = _record_maps(mp)
         mp.setattr(sim._BlockMaps, "chunk", bounded)
-        mp.setattr(sim._BlockMaps, "step", counted)
         run_scenario(cfg, spec(out_every), fir=nominal_fir)
-    assert cleared
-    for starts, stride, bound in cleared:
-        for start, limit in zip(starts, bound):
+    assert cleared and ticks[0] == 3001
+    for first, blocks, x, bound in cleared:
+        stride = blocks.stride
+        if stride == 1:
+            speeds = np.abs(blocks._every_tick(x)[:, :, blocks.c :]).max(axis=1)
+        else:
             # the rows of tick i give the velocities after it
-            speeds = np.abs(every_tick[start + 1 : start + stride + 1]).max(axis=0)
-            assert (speeds <= limit * (1.0 + 1e-9)).all()
+            starts = first + stride * np.arange(len(x))
+            speeds = [np.abs(every_tick[start + 1 : start + stride + 1]).max(axis=0)
+                      for start in starts]
+        assert (speeds <= bound * (1.0 + 1e-9)).all()
     # entry by entry, the weights are the largest magnitude each command
     # and velocity row reaches over the block's ticks: the rows of every
-    # tick, read off the unit inputs
-    (blocks,) = maps
-    units = np.eye(blocks.peak.shape[1])
-    rows = blocks._every_tick(units, blocks.stride)
-    assert np.array_equal(np.abs(rows).max(axis=1).T, blocks.peak)
+    # tick, read off the unit inputs, in every maps object the run builds
+    assert built
+    for blocks in built:
+        units = np.eye(blocks.peak.shape[1])
+        rows = blocks._every_tick(units)
+        assert np.array_equal(np.abs(rows).max(axis=1).T, blocks.peak)
 
 
 def test_runs_without_events_do_no_echo_work(monkeypatch, nominal_fir):
@@ -1010,18 +1038,19 @@ def test_spacing_change_without_end_gains_raises(nominal_fir, variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_full_blocks_never_step_alone(monkeypatch, nominal_fir, variant):
-    # every full block goes through a chunk; ``step`` takes only the blocks
-    # that an event or the run's end cuts short, the block from the
-    # off-grid event to the next output sample, and the run's last tick
-    calls, strides = [], set()
-    step = sim._BlockMaps.step
+    # every full block goes through a chunk on the stride's maps; only the
+    # ticks that an event or the run's end cuts short, those from the
+    # off-grid event to the next output sample and the run's last tick run
+    # one tick a block, on one-tick maps built once
+    calls = []
+    chunk = sim._BlockMaps.chunk
 
-    def counted(self, *args):
-        calls.append(args[-1].shape[1] - self.span)
-        strides.add(self.stride)
-        return step(self, *args)
+    def counted(self, z, x, hist):
+        calls.append((self, len(x)))
+        return chunk(self, z, x, hist)
 
-    monkeypatch.setattr(sim._BlockMaps, "step", counted)
+    built = _record_maps(monkeypatch)
+    monkeypatch.setattr(sim._BlockMaps, "chunk", counted)
     spec = ScenarioSpec(
         duration=120.0,
         events=((0.37, "set_v_ref", 1.0), (60.0, "set_d_ref", 1.4)),
@@ -1029,14 +1058,17 @@ def test_full_blocks_never_step_alone(monkeypatch, nominal_fir, variant):
         out_every=10,
     )
     run_scenario(PlatoonConfig(n_vehicles=5), spec, fir=nominal_fir)
-    (s,) = strides
-    assert s % 10 == 0
+    full, short = built
+    s = full.stride
+    assert s % 10 == 0 and short.stride == 1
+    assert {maps for maps, _ in calls} == {full, short}
     # full blocks from tick 0 up to the event at tick 37, ticks 37-40 up to
     # the output grid, full blocks from 40 to the event at 6000 and from
     # there to the end at 12 000; what a stride leaves of each run of full
-    # blocks steps alone, and so does tick 12 000
+    # blocks runs tick by tick, and so does tick 12 000
     want = [37 % s, 3, (6000 - 40) % s, (12000 - 6000) % s, 1]
-    assert sorted(calls) == sorted(j for j in want if j)
+    assert [nb for maps, nb in calls if maps is short] == [j for j in want if j]
+    assert sum(nb * maps.stride for maps, nb in calls) == 12001
 
 
 def test_chain_state_space_matches_wave_model():

@@ -24,6 +24,7 @@ from waveplatoon.wave import (
 from waveplatoon.errors import (
     DegenerateDenominator,
     DegreeOverflow,
+    InvalidConfig,
     ZeroNumerator,
 )
 
@@ -229,8 +230,10 @@ def test_approx_degree_overflow():
 
 
 def test_approx_rejects_bad_iterations():
-    with pytest.raises(ValueError):
-        wave_tf_approx(nominal(), iterations=0)
+    # the depth check ``ChainModel`` makes too
+    for depth in (0, 2.5):
+        with pytest.raises(InvalidConfig, match="whole number >= 1"):
+            wave_tf_approx(nominal(), iterations=depth)
 
 
 def test_fir_nominal_contract():
