@@ -106,8 +106,6 @@ def _cmd_approx(v, args):
     for key in ("fs", "truncate"):
         if not (np.isfinite(v[key]) and v[key] > 0):
             raise InvalidConfig(f"{key} must be finite and positive, got {v[key]}")
-    if v["l"] < 1:
-        raise InvalidConfig(f"l must be >= 1, got {v['l']}")
     coup = coupling_from_gains(v["kp"], v["ki"], v["xi"])
     ap = wave_tf_approx(coup, v["l"])
     fir = wave_fir(ap, v["fs"], v["truncate"])

@@ -37,11 +37,17 @@ and a chunk that the bound does not clear forms every tick's velocities
 exactly.
 """
 
+import ctypes
+import os
+import threading
+from contextlib import ContextDecorator
 from itertools import takewhile
 from numbers import Integral
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from dataclasses import dataclass
 
 # the per-tick steps are looked up here by tracers that time them
@@ -559,9 +565,10 @@ def _block_stride(out_every, n_ctrl, dim, m, c, k, span):
     rows and one more for its input columns, the floats the build writes
     (its maps and the lagged commands, moved by gathers) and its
     multiply-adds. Measured on a 2-core x86-64 host with OpenBLAS at its
-    default threads: ``step`` 4 us, the carry 290 ps an entry, the
-    lookback 100 ps and the readout 40 ps a multiply-add, and in the build
-    3 ns a float written and 50 ps a multiply-add. The cost is convex in
+    default threads, before runs stepped at one thread (``_OneBlasThread``):
+    ``step`` 4 us, the carry 290 ps an entry, the lookback 100 ps and the
+    readout 40 ps a multiply-add, and in the build 3 ns a float written and
+    50 ps a multiply-add. The cost is convex in
     the stride but for the small step ``A``'s powers of two take at each
     power of two. The candidates tile the output grid: multiples of
     ``out_every`` whose maps hold at most JUMP_MAP_FLOATS floats or, when
@@ -624,6 +631,82 @@ def _guard(speed, *arrays):
         raise NonFiniteState("simulation diverged")
 
 
+# the OpenBLAS that numpy and scipy each bundle: the package, the library
+# beside it and the suffix of its symbols
+_BLAS_LIBS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+)
+# why a bundled OpenBLAS was left at the caller's thread count, set on the
+# first run; empty when each was found
+BLAS_LEFT_ALONE = ""
+
+
+def _find_blas():
+    """The ``(get, set)`` thread-count calls of each bundled OpenBLAS that
+    the process has loaded; each one missing adds its reason to
+    ``BLAS_LEFT_ALONE``."""
+    global BLAS_LEFT_ALONE
+    calls, reasons = [], []
+    for package, pattern, suffix in _BLAS_LIBS:
+        found = sorted(Path(package.__file__).parents[1].glob(pattern))
+        if not found:
+            reasons.append(f"{package.__name__}: no {pattern}")
+            continue
+        try:
+            # RTLD_NOLOAD: the library the package loaded, never a new copy
+            lib = ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError) as err:
+            reasons.append(f"{package.__name__}: {err}")
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        calls.append((get, put))
+    BLAS_LEFT_ALONE = "; ".join(reasons)
+    return calls
+
+
+class _OneBlasThread(ContextDecorator):
+    """Run the body at one OpenBLAS thread in each library ``_find_blas``
+    finds on the first entry, and restore the caller's counts on the way
+    out, on error too; a library it does not find is left alone, and
+    ``BLAS_LEFT_ALONE`` says why. A threaded product's sums depend on the
+    thread count, and on a 2-core host the threads made runs erratic and
+    the sweep about a third slower. The count is process-wide, so entries
+    are counted under a lock: the first of nested or concurrent runs saves
+    the counts and sets 1, and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.calls = None
+        self.saved = []
+
+    def __enter__(self):
+        with self.lock:
+            if not self.depth:
+                if self.calls is None:
+                    self.calls = _find_blas()
+                self.saved = [(put, get()) for get, put in self.calls]
+                for put, _ in self.saved:
+                    put(1)
+            self.depth += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.depth -= 1
+            if not self.depth:
+                for put, count in self.saved:
+                    put(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+@_one_blas_thread
 def run_scenario(config, scenario, fir=None):
     """Simulate one scenario and return the sampled trace.
 
@@ -652,6 +735,10 @@ def run_scenario(config, scenario, fir=None):
     divergence guard sees every vehicle's velocity at every tick, through
     a bound over the chunk's ticks or, when that does not clear it, each
     tick's exact value.
+
+    The whole run, the FIR build included, steps at one OpenBLAS thread
+    (``_OneBlasThread``), so a rerun gives the same bits whatever thread
+    count the caller or ``OPENBLAS_NUM_THREADS`` set.
     """
     m = config.n_vehicles
     variant = scenario.variant

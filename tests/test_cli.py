@@ -220,7 +220,7 @@ def test_bad_sweep_inputs_are_errors(tmp_path, capsys, argv, message):
         (["approx", "--fs", "inf"], "fs must be finite and positive"),
         (["approx", "--fs", "nan"], "fs must be finite and positive"),
         (["approx", "--truncate", "-1"], "truncate must be finite and positive"),
-        (["approx", "--l", "0"], "l must be >= 1"),
+        (["approx", "--l", "0"], "approximant depth must be a whole number >= 1"),
         (["sweep", "--n-list", "3", "--fs", "0"], "fs_ctrl must be finite and positive"),
         (["sweep", "--n-list", "3", "--fs", "inf"], "fs_ctrl must be finite and positive"),
         (["simulate", "--n", "3", "--duration", "1", "--sigma2", "1", "--seed", "-1"],

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1099,3 +1105,158 @@ def test_trace_csv_round_trip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(trace.t), 1 + 3 + 3 + 2)
     assert np.allclose(data[:, 1:4], trace.positions)
+
+
+@pytest.fixture
+def blas():
+    """Each bundled OpenBLAS's ``(get, set)`` thread-count calls, set to two
+    threads for the test and to their own counts after it."""
+    calls = sim._find_blas()
+    if not calls:
+        pytest.skip(sim.BLAS_LEFT_ALONE)
+    before = [get() for get, _ in calls]
+    for _, put in calls:
+        put(2)
+    yield calls
+    for (_, put), count in zip(calls, before):
+        put(count)
+
+
+def _record_blas_threads(monkeypatch, blas):
+    """Wrap ``_BlockMaps.chunk`` to record the thread counts at each call."""
+    seen = []
+    chunk = sim._BlockMaps.chunk
+
+    def recording(self, *args):
+        seen.append(_threads(blas))
+        return chunk(self, *args)
+
+    monkeypatch.setattr(sim._BlockMaps, "chunk", recording)
+    return seen
+
+
+def _threads(blas):
+    return [get() for get, _ in blas]
+
+
+def test_runs_step_at_one_blas_thread_and_restore_the_callers(monkeypatch, blas):
+    ones, twos = [1] * len(blas), [2] * len(blas)
+    seen = _record_blas_threads(monkeypatch, blas)
+    spec = ScenarioSpec(duration=10.0, events=((1.0, "set_v_ref", 1.0),),
+                        variant="two_sided", out_every=10)
+    run_scenario(PlatoonConfig(n_vehicles=4), spec)
+    assert seen and all(counts == ones for counts in seen)
+    assert _threads(blas) == twos
+    # a run the divergence guard stops, and one whose event is off the grid
+    seen.clear()
+    unstable = ScenarioSpec(duration=30.0, events=((0.5, "set_v_ref", 1.0),))
+    with pytest.raises(NonFiniteState):
+        run_scenario(PlatoonConfig(n_vehicles=3, ki=-50.0), unstable)
+    assert seen and all(counts == ones for counts in seen)
+    assert _threads(blas) == twos
+    off_grid = ScenarioSpec(duration=1.0, events=((0.505, "set_v_ref", 1.0),))
+    with pytest.raises(InvalidConfig):
+        run_scenario(PlatoonConfig(n_vehicles=3), off_grid)
+    assert _threads(blas) == twos
+
+
+def test_nested_runs_keep_one_blas_thread_until_the_outermost_exit(blas):
+    ones = [1] * len(blas)
+    with sim._one_blas_thread:
+        with sim._one_blas_thread:
+            assert _threads(blas) == ones
+        assert _threads(blas) == ones
+        run_scenario(PlatoonConfig(n_vehicles=3), ScenarioSpec(duration=1.0))
+        assert _threads(blas) == ones
+    assert _threads(blas) == [2] * len(blas)
+
+
+def test_concurrent_runs_keep_one_blas_thread_and_restore_the_callers(monkeypatch, blas):
+    # more runs than cores, with short switch intervals; all wait for one
+    # another inside their first chunk, so some end while others still run
+    seen = _record_blas_threads(monkeypatch, blas)
+    runs = 4
+    met, barrier = set(), threading.Barrier(runs, timeout=30)
+    chunk = sim._BlockMaps.chunk
+
+    def meeting(self, *args):
+        if threading.get_ident() not in met:
+            met.add(threading.get_ident())
+            barrier.wait()
+        return chunk(self, *args)
+
+    monkeypatch.setattr(sim._BlockMaps, "chunk", meeting)
+    spec = ScenarioSpec(duration=20.0, events=((1.0, "set_v_ref", 1.0),),
+                        variant="front", out_every=10)
+    traces = [None] * runs
+
+    def run(i):
+        traces[i] = run_scenario(PlatoonConfig(n_vehicles=3 + i), spec)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(runs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(trace is not None for trace in traces)
+    assert len(met) == runs
+    assert seen and all(counts == [1] * len(blas) for counts in seen)
+    assert _threads(blas) == [2] * len(blas)
+
+
+@pytest.mark.parametrize(
+    "pattern, suffix, reason",
+    [("numpy.libs/no-such-openblas-*.so", "64_", "no numpy.libs/no-such-openblas-*.so"),
+     ("numpy.libs/libscipy_openblas64_*.so", "_no_such_symbol", "numpy:")],
+    ids=["library", "symbol"],
+)
+def test_runs_without_the_blas_calls_leave_the_count_alone(
+        monkeypatch, blas, pattern, suffix, reason):
+    config = PlatoonConfig(n_vehicles=6)
+    spec = ScenarioSpec(duration=20.0, events=((1.0, "set_v_ref", 1.0),),
+                        noise=NoiseSpec(0.5, seed=2), variant="two_sided", out_every=10)
+    normal = run_scenario(config, spec)
+    monkeypatch.setattr(sim, "_BLAS_LIBS", ((np, pattern, suffix),))
+    monkeypatch.setattr(sim._one_blas_thread, "calls", None)
+    monkeypatch.setattr(sim, "BLAS_LEFT_ALONE", "")
+    seen = _record_blas_threads(monkeypatch, blas)
+    left = run_scenario(config, spec)
+    assert reason in sim.BLAS_LEFT_ALONE
+    assert seen and all(counts == [2] * len(blas) for counts in seen)
+    for name in ("positions", "velocities"):
+        a, b = getattr(normal, name), getattr(left, name)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+# a short noisy run whose products OpenBLAS threads at two threads
+_THREAD_COUNT_RUN = """
+import hashlib
+from waveplatoon.sim import NoiseSpec, PlatoonConfig, ScenarioSpec, run_scenario
+trace = run_scenario(PlatoonConfig(n_vehicles=10), ScenarioSpec(
+    duration=60.0, noise=NoiseSpec(1.0, seed=3), variant="two_sided", out_every=10))
+for rows in (trace.positions, trace.velocities):
+    print(hashlib.sha256(rows.tobytes()).hexdigest())
+"""
+
+
+def test_reruns_are_byte_identical_across_blas_thread_counts():
+    # a threaded product's sums depend on the thread count: without the
+    # run's own count these traces differed in their last bits
+    path = os.pathsep.join(filter(None, [str(Path(sim.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _THREAD_COUNT_RUN], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+        for threads in ("1", "2")
+    ]
+    outs = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert len(outs[0].split()) == 2
+    assert outs[0] == outs[1]
